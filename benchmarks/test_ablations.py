@@ -21,7 +21,7 @@ from repro.sim.config import HETER_CONFIG1, HOMOGEN_DDR3
 from repro.sim.metrics import collect_metrics
 from repro.sim.single import _run_single as run_single
 from repro.sim.single import filtered_stream
-from repro.workloads.inputs import build_app_trace
+from repro.workloads.inputs import app_layout, build_app_trace
 
 
 def test_ablation_frfcfs_vs_fcfs(benchmark, fidelity):
@@ -30,7 +30,7 @@ def test_ablation_frfcfs_vs_fcfs(benchmark, fidelity):
 
     def run(scheduler):
         stream, _ = filtered_stream("lbm", "ref", fidelity.n_single)
-        layout = build_app_trace("lbm", "ref", fidelity.n_single).layout
+        layout = app_layout("lbm", "ref")
         memsys = HOMOGEN_DDR3.build()
         for group in memsys.groups:
             for ctl in group.controllers:

@@ -43,7 +43,7 @@ from repro.sim.config import ALL_SYSTEMS
 from repro.sim.single import filtered_stream
 from repro.trace.builder import TraceBuilder
 from repro.util.rng import stream
-from repro.workloads.inputs import REF, build_app_trace
+from repro.workloads.inputs import REF, app_layout, build_app_trace
 from repro.workloads.spec import app
 
 HERE = Path(__file__).parent
@@ -67,7 +67,7 @@ def _replay_once(fast: bool):
     identical on both paths and not what this benchmark measures.
     """
     stream, _ = filtered_stream(APP, REF, N_ACCESSES)
-    layout = build_app_trace(APP, REF, N_ACCESSES).layout
+    layout = app_layout(APP, REF)
     config = ALL_SYSTEMS[CONFIG]
     memsys = config.build()
     allocator = config.make_allocator(memsys)

@@ -36,6 +36,7 @@ from repro.cpu.hierarchy import (
 from repro.memctrl.request import MemRequest
 from repro.memctrl.system import MemorySystem
 from repro.obs.registry import OBS
+from repro.util.fastpath import fast_path_default
 
 
 @dataclass(frozen=True)
@@ -162,20 +163,6 @@ class CoreResult:
         )
 
 
-def _env_fast_default() -> bool:
-    """Process-wide fast-path default (``REPRO_FAST_PATH=0`` kills it).
-
-    The kill switch exists so a suspect result can be re-derived on the
-    reference implementations fleet-wide — sweeps, profiling replays,
-    cache filtering, and migration epochs alike — without editing any
-    figure code.  One shared switch: the cache-filter kernel
-    (:mod:`repro.cpu.filter_kernel`) reads the same variable.
-    """
-    from repro.cpu.filter_kernel import fast_path_default
-
-    return fast_path_default()
-
-
 _NEG = -(1 << 62)
 
 
@@ -243,12 +230,13 @@ class InOrderWindowCore:
 
     * the **reference path** (``fast_path=False``) — the original
       per-record Python loop, kept as the executable specification;
-    * the **fast path** (default) — episode boundaries, per-record issue
-      offsets, and channel routing/decode are precomputed as numpy
-      arrays at construction, request batches are drained through the
-      struct-of-arrays kernel (:mod:`repro.memctrl.batch`), and all
+    * the **fast path** (default) — episode boundaries and per-record
+      issue offsets are precomputed as numpy arrays at construction,
+      the episodes themselves run in the compiled replay kernel
+      (:mod:`repro.memctrl.batch`, ``replay_kernel.c``), and all
       per-object/per-episode accounting is deferred to one vectorized
-      pass at completion.
+      pass at completion.  Without a working C compiler the core warns
+      once and runs the reference path instead.
 
     The two are **bit-identical** — same :class:`CoreResult`, same
     memory-system counters, same multicore interleave decisions — which
@@ -276,7 +264,12 @@ class InOrderWindowCore:
             raise ValueError("translation arrays must match the miss stream length")
         self.params = params or CoreParams()
         self.core_id = core_id
-        self.fast_path = _env_fast_default() if fast_path is None else bool(fast_path)
+        fast = fast_path_default() if fast_path is None else bool(fast_path)
+        if fast and len(stream):
+            from repro.memctrl.batch import replay_kernel
+
+            fast = replay_kernel() is not None
+        self.fast_path = fast
         self.total_instructions = stream.total_instructions
         self._n = len(stream)
         self._idx = 0
@@ -363,36 +356,37 @@ class InOrderWindowCore:
         while h < n:
             heads.append(h)
             h = break_l[h]
+        heads.append(n)
+        # One extra, final entry: episode k is [ep_start[k], ep_start[k+1]).
         ep_start = np.asarray(heads, dtype=np.int64)
-        ep_end = np.append(ep_start[1:], n)
-        nep = len(heads)
-        ep_of = np.repeat(np.arange(nep, dtype=np.int64), ep_end - ep_start)
-        head_inst = inst[ep_start].astype(np.int64)
+        nep = len(heads) - 1
+        ep_of = np.repeat(np.arange(nep, dtype=np.int64), np.diff(ep_start))
+        head_inst = inst[ep_start[:-1]].astype(np.int64)
         off = ((inst.astype(np.int64) - head_inst[ep_of]) * den) // num
         prev_inst = np.empty(nep, dtype=np.int64)
         prev_inst[0] = inst_prev
         if nep > 1:
-            prev_inst[1:] = inst[ep_start[1:] - 1]
-        headgap = ((head_inst - prev_inst) * den) // num
+            prev_inst[1:] = inst[ep_start[1:-1] - 1]
         self._f_nep = nep
         self._f_ep_of = ep_of
-        self._f_off_np = off
-        self._f_ep_start = ep_start.tolist()
-        self._f_ep_end = ep_end.tolist()
-        self._f_headgap = headgap.tolist()
-        self._f_off = off.tolist()
-        self._f_off_last = off[ep_end - 1].tolist()
-        self._f_ep_issue0 = [0] * nep
+        self._f_off = off
+        self._f_ep_start = ep_start
+        self._f_headgap = ((head_inst - prev_inst) * den) // num
         self._f_tail = ((self.total_instructions - int(inst[n - 1])) * den) // num
 
     def _tables(self, memsys: MemorySystem):
         tb = self._f_tables
-        if tb is None or tb.memsys is not memsys:
+        if tb is None:
             from repro.memctrl.batch import ReplayTables
 
-            tb = ReplayTables(memsys, self._f_groups, self._f_gaddrs,
-                              self._f_stream.kind)
+            tb = ReplayTables(
+                memsys, self._f_groups, self._f_gaddrs,
+                self._f_stream.kind, off=self._f_off,
+                ep_start=self._f_ep_start, headgap=self._f_headgap,
+                cycle=self._cycle, backlog=self.params.backlog)
             self._f_tables = tb
+        elif tb.memsys is not memsys:
+            raise ValueError("a core replays against one memory system")
         return tb
 
     # ---- stepping interface -------------------------------------------------------
@@ -406,45 +400,36 @@ class InOrderWindowCore:
         if self.finished:
             return 1 << 62
         if self.fast_path:
-            return self._cycle + self._f_headgap[self._f_ep]
+            return self._cycle + int(self._f_headgap[self._f_ep])
         gap = self._inst[self._idx] - self._inst_prev
         return self._cycle + self.params.cycles_for(gap)
 
     def run_episode(self, memsys: MemorySystem) -> int:
         """Issue one MLP episode against ``memsys``; returns new core cycle."""
         if self.fast_path:
-            return self._run_episode_fast(memsys)
+            return self._run_fast(memsys, self._f_ep + 1)
         return self._run_episode_ref(memsys)
 
-    def _run_episode_fast(self, memsys: MemorySystem) -> int:
-        """Drain one precomputed episode through the SoA batch kernel."""
+    def _run_fast(self, memsys: MemorySystem, stop: int) -> int:
+        """Run episodes up to ``stop`` in the compiled kernel."""
         k = self._f_ep
-        s = self._f_ep_start[k]
-        e = self._f_ep_end[k]
-        issue0 = self._cycle + self._f_headgap[k]
-        self._f_ep_issue0[k] = issue0
-        load_done_max, done_max = self._tables(memsys).drain_episode(
-            s, e, issue0, self._f_off)
-        t = load_done_max if load_done_max > issue0 else issue0
-        c2 = issue0 + self._f_off_last[k]
-        if c2 > t:
-            t = c2
-        c3 = done_max - self.params.backlog
-        self._cycle = c3 if c3 > t else t
-        self._f_ep = k + 1
-        self._idx = e
-        if self._idx >= self._n:
+        self._cycle = self._tables(memsys).run(k, stop)
+        self._f_ep = stop
+        if stop >= self._f_nep:
+            self._idx = self._n
             self._finalize_fast()
+        else:
+            self._idx = int(self._f_ep_start[stop])
         return self._cycle
 
     def _finalize_fast(self) -> None:
         """One vectorized accounting pass, bit-equal to the reference loop.
 
         Also flushes the deferred per-record memory-system statistics the
-        SoA kernel withheld during the replay (module/controller counters,
-        latency histograms) — nothing reads those mid-replay, so batching
-        them here is observation-equivalent to the reference's live
-        updates.
+        kernel withheld during the replay (module/controller counters,
+        latency histograms) and hands the device state back — nothing
+        reads those mid-replay, so batching them here is
+        observation-equivalent to the reference's live updates.
         """
         res = self.result
         self._cycle += self._f_tail
@@ -460,12 +445,12 @@ class InOrderWindowCore:
         if tb is None:
             return
         self._inst_prev = int(stream.inst[self._n - 1])
-        tb.flush_stats()
+        tb.finish()
         kind = stream.kind
         obj = stream.obj_id.astype(np.int64)
-        done = np.asarray(tb.done_l, dtype=np.int64)
-        ep_issue0 = np.asarray(self._f_ep_issue0, dtype=np.int64)
-        issue = ep_issue0[self._f_ep_of] + self._f_off_np
+        done = tb.done
+        ep_issue0 = tb.ep_issue0
+        issue = ep_issue0[self._f_ep_of] + self._f_off
         dsel = np.flatnonzero(kind <= KIND_STORE)
         if len(dsel):
             res.mem_access_cycles = int((done[dsel] - issue[dsel]).sum())
@@ -576,8 +561,10 @@ class InOrderWindowCore:
             self.result.cycles = self._cycle
             self.publish_obs()
             return self.result
+        if self.fast_path and not self.finished:
+            self._run_fast(memsys, self._f_nep)
         while not self.finished:
-            self.run_episode(memsys)
+            self._run_episode_ref(memsys)
         self.publish_obs()
         return self.result
 

@@ -48,12 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.fastpath import fast_path_default
-
 __all__ = [
     "FilterAccumulator",
     "LevelResult",
-    "fast_path_default",
     "finalize_filter",
     "run_filter",
     "run_filter_window",

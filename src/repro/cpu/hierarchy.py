@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.cache import SetAssocCache
+from repro.util.fastpath import fast_path_default
 
 #: Miss-record kinds.
 KIND_LOAD = 0
@@ -209,7 +210,7 @@ class CacheHierarchy:
         from repro.cpu import filter_kernel
 
         use_kernel = (fast_path if fast_path is not None
-                      else filter_kernel.fast_path_default())
+                      else fast_path_default())
         if use_kernel and self.prefetcher is None:
             self.last_engine = "kernel"
             return filter_kernel.run_filter(trace, self, warm_until)
@@ -237,7 +238,7 @@ class CacheHierarchy:
         from repro.cpu import filter_kernel
 
         use_kernel = (fast_path if fast_path is not None
-                      else filter_kernel.fast_path_default())
+                      else fast_path_default())
         if use_kernel and self.prefetcher is None:
             self.last_engine = "kernel"
             acc = filter_kernel.FilterAccumulator()

@@ -1,41 +1,62 @@
-"""Struct-of-arrays replay tables for the kernelized fast path.
+"""Compiled DRAM replay: decoded columns, packed device state, C kernel.
 
 The reference replay builds a :class:`~repro.memctrl.request.MemRequest`
 object per record, routes it through ``MemorySystem.service_batch`` →
 ``ChannelGroup.service_batch`` → ``ChannelController.service_batch``, and
 re-decodes its address at every layer.  For a trace replayed start to
 finish all of that is static: the channel a record lands on, its
-module-local address, its (subchannel, bank, row) decode, and its
-FR-FCFS criticality class depend only on the page mapping — never on
-timing.  :class:`ReplayTables` computes them once, vectorized, and the
-per-episode work shrinks to: snapshot row-hit bits, one stable sort of
-plain tuples, and the inlined device-timing kernel
-(:meth:`~repro.memctrl.controller.ChannelController.service_soa`).
+(subchannel, bank, row) decode and its FR-FCFS criticality class depend
+only on the page mapping — never on timing.  :class:`ReplayTables`
+decodes them once, vectorized, into ``int64`` columns, and the episode
+loop itself — issue, scheduler order, refresh, tFAW, bank and bus
+arithmetic, the core's cycle update — runs in one small C function
+(``replay_kernel.c``, beside this file) called through :mod:`ctypes`.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
 
 * The reference drains per (group, channel) sub-batch, but channels are
   fully independent — only the *within-channel* order is semantically
-  meaningful.  A single sort keyed ``(channel, scheduler key, record
-  index)`` therefore reproduces the reference order exactly; the final
-  record index mirrors ``sorted()``'s stability.
+  meaningful.  Sorting an episode by (channel, scheduler key, record
+  index) therefore reproduces the reference order exactly; the record
+  index mirrors ``sorted()``'s stability.
 * Row-hit bits for the FR-FCFS key are snapshotted against bank state at
   episode entry, exactly when the reference scheduler sorts (before any
   access of the episode drains, and before any refresh those accesses
   may trigger).
 * Mutable device state (bank rows/windows, bus direction and occupancy,
-  tFAW activate history, refresh horizon) is updated live — multicore
-  replays interleave cores through the same devices.  Pure counters
-  (module/controller totals, latency histograms) are deferred to
+  tFAW activate history, refresh horizon) lives in a
+  :class:`DeviceState` shared by every core replaying on one memory
+  system, so multicore interleaves contend exactly as the reference
+  does.  It is loaded from the Python device objects when the first
+  kernel core on a system starts and written back when the last one
+  finishes.  Pure counters (module/controller totals, latency
+  histograms, OBS ``mem.*``/``memsys.*``) are deferred to
   :meth:`ReplayTables.flush_stats` at end of replay; nothing reads them
   mid-replay, so the deferral is observation-equivalent.
 
-The routing/decode arithmetic below intentionally mirrors
-``GroupAddressMap.route`` and ``MemoryModule.decode`` — keep them in
-lockstep.
+Building: the kernel compiles on first use with ``cc -O2 -shared -fPIC``
+and is cached as ``replay_kernel-<tag>.so`` in the ``__pycache__``
+directory beside the source, where ``<tag>`` hashes the source, the
+flags and the machine type; a ``.sha256`` file written after it marks
+the library complete.  When that directory is not writable the
+cache falls back to ``$XDG_CACHE_HOME/repro`` (default
+``~/.cache/repro``), then to a private temporary directory.  With no
+compiler, or a failed build or ``dlopen``, :func:`replay_kernel`
+warns once and the core falls back to the reference interpreter.
 """
 
 from __future__ import annotations
+
+import atexit
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -46,18 +67,264 @@ from repro.memctrl.system import MemorySystem
 from repro.obs.registry import OBS
 from repro.util.resident import ResidentLRU, content_digest
 
+# ---- building and loading the kernel ----------------------------------------
+
+SOURCE = Path(__file__).with_name("replay_kernel.c")
+CFLAGS = ("-O2", "-shared", "-fPIC")
+
+class _Ctx(ctypes.Structure):
+    """Mirror of ``replay_ctx`` in ``replay_kernel.c`` (same field order)."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "ctrl", "bank", "sub",
+        "r_ctrl", "r_bank", "r_sub", "r_row", "r_klass", "r_write",
+        "r_gaddr", "r_off",
+        "ep_start", "headgap",
+        "ep_issue0", "done", "queue", "service", "hit", "bb",
+        "scratch")] + [("cycle", ctypes.c_int64),
+                       ("backlog", ctypes.c_int64)]
+
+
+class KernelUnavailable(RuntimeError):
+    """The replay kernel could not be built or loaded."""
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _cache_dirs():
+    """Candidate directories for the built library, in preference order."""
+    yield SOURCE.parent / "__pycache__"
+    xdg = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    yield Path(xdg) / "repro"
+    private = tempfile.mkdtemp(prefix="repro-kernel-")
+    atexit.register(shutil.rmtree, private, True)
+    yield Path(private)
+
+
+def _library_name() -> str:
+    tag = hashlib.sha256(b"\0".join([
+        SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+        platform.machine().encode()])).hexdigest()[:16]
+    return f"replay_kernel-{tag}.so"
+
+
+def _checksum_path(path: Path) -> Path:
+    return path.with_suffix(".sha256")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _open(path: Path):
+    """The loaded kernel function, or ``None`` if ``path`` is unusable.
+
+    The library must match the checksum written after it: ``dlopen`` of
+    a torn or truncated file can crash the process instead of failing.
+    """
+    try:
+        if _checksum_path(path).read_text() != _sha256(path):
+            return None
+        lib = ctypes.CDLL(str(path))
+        if lib.replay_abi() != ctypes.sizeof(_Ctx):
+            return None
+        fn = lib.replay_run
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def _replace_atomically(directory: Path, path: Path, write) -> None:
+    """Create ``path`` by ``write(tmp)`` on a temporary file + rename."""
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _build(cc: str, path: Path) -> None:
+    """Compile the kernel to ``path``, then write its checksum.
+
+    Raises ``OSError`` when the directory is not writable and
+    :class:`KernelUnavailable` when the compiler fails.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    digest = []
+
+    def compile_to(tmp: str) -> None:
+        try:
+            proc = subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)],
+                                  capture_output=True, text=True,
+                                  timeout=120)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            raise KernelUnavailable(f"{cc} failed: {exc}") from exc
+        if proc.returncode != 0:
+            raise KernelUnavailable(
+                f"{cc} failed: {proc.stderr.strip()[:400]}")
+        digest.append(_sha256(Path(tmp)))
+
+    _replace_atomically(path.parent, path, compile_to)
+    _replace_atomically(path.parent, _checksum_path(path),
+                        lambda tmp: Path(tmp).write_text(digest[0]))
+
+
+def load_kernel():
+    """Load the cached kernel or build it; raises :class:`KernelUnavailable`."""
+    name = _library_name()
+    cc = None
+    for directory in _cache_dirs():
+        path = directory / name
+        if path.is_file():
+            fn = _open(path)
+            if fn is not None:
+                return fn
+        cc = cc or _compiler()
+        if cc is None:
+            raise KernelUnavailable("no C compiler (cc or gcc) on PATH")
+        try:
+            _build(cc, path)
+        except OSError:
+            continue  # not writable here: try the next directory
+        fn = _open(path)
+        if fn is not None:
+            return fn
+    raise KernelUnavailable("built library could not be loaded")
+
+
+#: ``None`` = not tried yet, ``False`` = unavailable, else the function.
+_KERNEL = None
+
+
+def replay_kernel():
+    """The process's replay kernel function, or ``None`` (warned once)."""
+    global _KERNEL
+    if _KERNEL is None:
+        try:
+            _KERNEL = load_kernel()
+        except KernelUnavailable as exc:
+            OBS.warn(f"replay kernel unavailable ({exc}); replays use the "
+                     f"reference interpreter (bit-identical, slower)",
+                     key="replay-kernel")
+            _KERNEL = False
+    return _KERNEL or None
+
+
+# ---- device layout and packed state -----------------------------------------
+
+# Row widths of the packed tables and the refresh-horizon column; the
+# column order is that of the enums in replay_kernel.c.
+C_FIELDS, C_NEXT_REF = 15, 14
+B_FIELDS = 3
+S_FIELDS = 7
+
+
+def _layout(memsys: MemorySystem):
+    """Flat controllers, group bases, and per-controller bank/sub bases."""
+    controllers, bases = memsys.controller_layout()
+    bank0, sub0 = [], []
+    nb = ns = 0
+    for c in controllers:
+        bank0.append(nb)
+        sub0.append(ns)
+        nb += sum(len(sub) for sub in c.module.banks)
+        ns += len(c.module.banks)
+    return controllers, bases, bank0, sub0
+
+
+class DeviceState:
+    """Packed int64 device state of one memory system (kernel-owned).
+
+    Rows of :attr:`ctrl`, :attr:`bank` and :attr:`sub` follow the flat
+    controller order of :meth:`MemorySystem.controller_layout`.
+    """
+
+    def __init__(self, memsys: MemorySystem):
+        self.controllers, _, bank0, _ = _layout(memsys)
+        self.active = 0
+        ctrl = np.zeros((len(self.controllers), C_FIELDS), dtype=np.int64)
+        for ci, c in enumerate(self.controllers):
+            if c.scheduler is frfcfs_order:
+                mode = 0
+            elif c.scheduler is fcfs_order:
+                mode = 1
+            else:
+                raise ValueError(
+                    f"fast path does not support custom scheduler "
+                    f"{c.scheduler!r}; run with fast_path=False")
+            m = c.module
+            t = m.timing
+            # C_MODE ... C_NEXT_REF, as in replay_kernel.c
+            ctrl[ci] = (mode, t.tCL, t.tCCD, t.tRP, t.tRAS, t.tRC, t.tRCD,
+                        t.tFAW, t.turnaround, t.transfer_cycles(c.line_bytes),
+                        t.tREFI, t.tRFC, bank0[ci],
+                        sum(len(sub) for sub in m.banks), m._next_refresh)
+        self.ctrl = ctrl
+        self.bank = np.array(
+            [(-1 if b.open_row is None else b.open_row, b.ready_at,
+              b.last_activate) for b in self._banks()],
+            dtype=np.int64).reshape(-1, B_FIELDS)
+        subs = []
+        for m in self._modules():
+            for s in range(len(m.banks)):
+                lw = m._last_was_write[s]
+                acts = m._recent_acts[s]
+                subs.append([m.bus_free_at[s], -1 if lw is None else int(lw),
+                             len(acts), *acts, *[0] * (4 - len(acts))])
+        self.sub = np.array(subs, dtype=np.int64).reshape(-1, S_FIELDS)
+
+    def _modules(self):
+        return [c.module for c in self.controllers]
+
+    def _banks(self):
+        return [b for m in self._modules() for sub in m.banks for b in sub]
+
+    def store(self) -> None:
+        """Write the packed state back into the Python device objects."""
+        for c, row in zip(self.controllers, self.ctrl[:, C_NEXT_REF].tolist()):
+            c.module._next_refresh = row
+        for b, (row, ready, last) in zip(self._banks(), self.bank.tolist()):
+            b.open_row = None if row < 0 else row
+            b.ready_at = ready
+            b.last_activate = last
+        subs = iter(self.sub.tolist())
+        for m in self._modules():
+            for s in range(len(m.banks)):
+                bus, lw, n, *acts = next(subs)
+                m.bus_free_at[s] = bus
+                m._last_was_write[s] = None if lw < 0 else bool(lw)
+                m._recent_acts[s] = acts[:n]
+
+
+#: Device state of every system with a kernel replay in flight.
+_DEVICES: "weakref.WeakKeyDictionary[MemorySystem, DeviceState]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _acquire(memsys: MemorySystem) -> DeviceState:
+    dev = _DEVICES.get(memsys)
+    if dev is None:
+        dev = _DEVICES[memsys] = DeviceState(memsys)
+    dev.active += 1
+    return dev
+
+
+# ---- decoded per-record columns ---------------------------------------------
+
 #: Process-level memo of decoded routing columns, keyed by content hash
 #: of (groups, gaddrs, kind) + addressing geometry.  The decode is a
 #: pure function of those inputs and the columns are read-only during
-#: replay (``service_soa`` only writes the per-replay output lists), so
-#: a worker replaying the same placement against interchangeable
-#: systems — or re-running a unit — skips the vectorized decode and the
-#: eight ``tolist()`` materializations entirely.
+#: replay, so a worker replaying the same placement against
+#: interchangeable systems — or re-running a unit — skips the decode.
 _DECODE_CACHE = ResidentLRU(16)
-
-
-def decode_cache_stats() -> dict:
-    return _DECODE_CACHE.stats_dict()
 
 
 def _geometry_doc(memsys: MemorySystem, bases) -> list:
@@ -70,200 +337,164 @@ def _geometry_doc(memsys: MemorySystem, bases) -> list:
                     int(mod._col_bits), int(mod._sub_mask),
                     int(mod._sub_bits), int(mod._bank_mask),
                     int(mod._bank_bits), int(g.timing.n_banks),
-                    int(g.timing.n_rows)])
+                    int(g.timing.n_rows), int(g.timing.n_subchannels)])
     return doc
 
 
-class ReplayTables:
-    """Precomputed per-record routing/decode columns for one replay.
+def _decode(memsys: MemorySystem, groups: np.ndarray, gaddrs: np.ndarray,
+            kind: np.ndarray) -> tuple:
+    """Vectorized routing/decode; pure in its arguments (memoized).
 
-    Built lazily by :class:`~repro.cpu.core.InOrderWindowCore` on the
-    first episode (the memory system is not known at construction) and
-    keyed on the system's identity, one instance per (core, memsys).
+    Mirrors ``GroupAddressMap.route`` and ``MemoryModule.decode``.
+    Returns the columns (ctrl, bank, sub, row, klass, write, gaddr,
+    demand); ``bank`` and ``sub`` index :class:`DeviceState` rows.
+    """
+    _, bases, bank0, sub0 = _layout(memsys)
+    bank0 = np.asarray(bank0, dtype=np.int64)
+    sub0 = np.asarray(sub0, dtype=np.int64)
+    n = len(gaddrs)
+    ctrl = np.zeros(n, dtype=np.int64)
+    bank = np.zeros(n, dtype=np.int64)
+    sub = np.zeros(n, dtype=np.int64)
+    row = np.zeros(n, dtype=np.int64)
+    for gi, g in enumerate(memsys.groups):
+        sel = np.flatnonzero(groups == gi)
+        if not len(sel):
+            continue
+        ga = gaddrs[sel]
+        line = ga >> LINE_BITS
+        offset = ga & (LINE_BYTES - 1)
+        amap = g.addrmap
+        nch = amap.n_channels
+        if amap._pow2 and nch > 1:
+            upper = line >> amap._k
+            ch = (line & (nch - 1)) ^ ((upper ^ (upper >> 3)
+                                        ^ (upper >> 6)) & (nch - 1))
+            local = (upper << LINE_BITS) | offset
+        else:
+            ch = line % nch
+            local = ((line // nch) << LINE_BITS) | offset
+        mod = g.modules[0]
+        dline = local >> mod._col_bits
+        sb = dline & mod._sub_mask
+        dline2 = dline >> mod._sub_bits
+        bk = dline2 & mod._bank_mask
+        c = bases[gi] + ch
+        ctrl[sel] = c
+        sub[sel] = sub0[c] + sb
+        bank[sel] = bank0[c] + sb * g.timing.n_banks + bk
+        row[sel] = (dline2 >> mod._bank_bits) % g.timing.n_rows
+    demand = kind <= KIND_STORE
+    write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
+    # FR-FCFS criticality: demand read 0, demand write 1, background 2.
+    klass = np.where(demand, np.where(write, 1, 0), 2).astype(np.int64)
+    return (ctrl, bank, sub, row, klass, write.astype(np.int64),
+            gaddrs.copy(), demand)
+
+
+class ReplayTables:
+    """One core's compiled replay against one memory system.
+
+    Built lazily by :class:`~repro.cpu.core.InOrderWindowCore` on its
+    first episode (the memory system is not known at construction).
+    Holds the decoded columns, the core's episode segmentation, the
+    per-record outputs and the kernel context; :meth:`run` replays a
+    range of episodes, :meth:`finish` flushes statistics and hands the
+    device state back to the Python objects.
     """
 
     def __init__(self, memsys: MemorySystem, groups: np.ndarray,
-                 gaddrs: np.ndarray, kind: np.ndarray):
+                 gaddrs: np.ndarray, kind: np.ndarray, *, off: np.ndarray,
+                 ep_start: np.ndarray, headgap: np.ndarray, cycle: int,
+                 backlog: int):
         self.memsys = memsys
-        self.controllers, bases = memsys.controller_layout()
-        self._group_names = memsys.group_names
-        self._ctrl_mode: list[int] = []
-        self._banks_by_ctrl = []
-        for ctrl in self.controllers:
-            if ctrl.scheduler is frfcfs_order:
-                self._ctrl_mode.append(0)
-            elif ctrl.scheduler is fcfs_order:
-                self._ctrl_mode.append(1)
-            else:
-                raise ValueError(
-                    f"fast path does not support custom scheduler "
-                    f"{ctrl.scheduler!r}; run with fast_path=False")
-            self._banks_by_ctrl.append(
-                [b for sub in ctrl.module.banks for b in sub])
-
-        n = len(gaddrs)
-        groups = np.asarray(groups, dtype=np.int64)
-        gaddrs = np.asarray(gaddrs, dtype=np.int64)
+        self._groups = np.asarray(groups, dtype=np.int64)
+        gaddrs = np.ascontiguousarray(gaddrs, dtype=np.int64)
         kind = np.asarray(kind, dtype=np.int64)
-        digest = content_digest(groups, gaddrs, kind,
+        bases = memsys.controller_layout()[1]
+        digest = content_digest(self._groups, gaddrs, kind,
                                 extra=_geometry_doc(memsys, bases))
-        shared = _DECODE_CACHE.get(digest)
-        if shared is None:
-            shared = self._decode(memsys, bases, groups, gaddrs, kind)
-            _DECODE_CACHE.put(digest, shared)
+        cols = _DECODE_CACHE.get(digest)
+        if cols is None:
+            cols = _decode(memsys, self._groups, gaddrs, kind)
+            _DECODE_CACHE.put(digest, cols)
         else:
             OBS.add("replay.decode_reuse")
             OBS.add("data_plane.copies_avoided")
-        (self._ctrl_np, self._demand_np, self._write_np,
-         self.ctrl_l, self.grp_l, self.sub_l, self.fbank_l, self.row_l,
-         self.gaddr_l, self.write_l, self.klass_l) = shared
-        # Per-record outputs, filled by service_soa, read at finalize.
-        self.done_l = [0] * n
-        self.queue_l = [0] * n
-        self.service_l = [0] * n
-        self.hit_l = [False] * n
-        self.bb_l = [0] * n
-        self._flushed = False
-
-    @staticmethod
-    def _decode(memsys: MemorySystem, bases, groups: np.ndarray,
-                gaddrs: np.ndarray, kind: np.ndarray) -> tuple:
-        """Vectorized routing/decode; pure in its arguments (memoized)."""
+        (self.ctrl, bank, sub, row, self.klass, self.write, gaddr,
+         self.demand) = cols
+        self.dev = _acquire(memsys)
         n = len(gaddrs)
-        ctrl = np.zeros(n, dtype=np.int64)
-        sub = np.zeros(n, dtype=np.int64)
-        fbank = np.zeros(n, dtype=np.int64)
-        row = np.zeros(n, dtype=np.int64)
-        for gi, g in enumerate(memsys.groups):
-            sel = np.flatnonzero(groups == gi)
-            if not len(sel):
-                continue
-            ga = gaddrs[sel]
-            line = ga >> LINE_BITS
-            offset = ga & (LINE_BYTES - 1)
-            amap = g.addrmap
-            nch = amap.n_channels
-            if amap._pow2 and nch > 1:
-                upper = line >> amap._k
-                ch = (line & (nch - 1)) ^ ((upper ^ (upper >> 3)
-                                            ^ (upper >> 6)) & (nch - 1))
-                local = (upper << LINE_BITS) | offset
-            else:
-                ch = line % nch
-                local = ((line // nch) << LINE_BITS) | offset
-            mod = g.modules[0]
-            dline = local >> mod._col_bits
-            sb = dline & mod._sub_mask
-            dline2 = dline >> mod._sub_bits
-            bk = dline2 & mod._bank_mask
-            ctrl[sel] = bases[gi] + ch
-            sub[sel] = sb
-            fbank[sel] = sb * g.timing.n_banks + bk
-            row[sel] = (dline2 >> mod._bank_bits) % g.timing.n_rows
-        demand = kind <= KIND_STORE
-        write = (kind == KIND_STORE) | (kind == KIND_WRITEBACK)
-        # FR-FCFS criticality: demand read 0, demand write 1, background 2.
-        klass = np.where(demand, np.where(write, 1, 0), 2)
-        # Hot-loop columns as plain-int lists (one tolist() each; list
-        # indexing beats numpy scalar extraction ~10x in the kernel).
-        return (ctrl, demand, write,
-                ctrl.tolist(), groups.tolist(), sub.tolist(),
-                fbank.tolist(), row.tolist(), gaddrs.tolist(),
-                write.tolist(), klass.tolist())
+        self.ep_start = ep_start
+        self.ep_issue0 = np.zeros(len(headgap), dtype=np.int64)
+        self.done = np.zeros(n, dtype=np.int64)
+        self.queue = np.zeros(n, dtype=np.int64)
+        self.service = np.zeros(n, dtype=np.int64)
+        self.hit = np.zeros(n, dtype=np.int64)
+        self.bb = np.zeros(n, dtype=np.int64)
+        longest = int(np.diff(ep_start).max())
+        arrays = dict(
+            ctrl=self.dev.ctrl, bank=self.dev.bank, sub=self.dev.sub,
+            r_ctrl=self.ctrl, r_bank=bank, r_sub=sub, r_row=row,
+            r_klass=self.klass, r_write=self.write, r_gaddr=gaddr,
+            r_off=off, ep_start=ep_start, headgap=headgap,
+            ep_issue0=self.ep_issue0, done=self.done, queue=self.queue,
+            service=self.service, hit=self.hit, bb=self.bb,
+            scratch=np.zeros(3 * longest, dtype=np.int64))
+        ctx = _Ctx(cycle=cycle, backlog=backlog)
+        for name, arr in arrays.items():
+            if arr.dtype != np.int64 or not arr.flags.c_contiguous:
+                raise TypeError(f"replay column {name} must be contiguous "
+                                f"int64, got {arr.dtype}")
+            setattr(ctx, name, arr.ctypes.data)
+        self._arrays = arrays  # the context points into them
+        self._ctx = ctx
+        self._kernel = replay_kernel()
+        self._ptr = ctypes.addressof(ctx)
 
-    # ---- episode drain ----------------------------------------------------------
+    def run(self, k0: int, k1: int) -> int:
+        """Replay episodes ``[k0, k1)``; returns the core's new cycle."""
+        return self._kernel(self._ptr, k0, k1)
 
-    def drain_episode(self, s: int, e: int, issue0: int,
-                      off: list[int]) -> tuple[int, int]:
-        """Serve records [s, e) issued at ``issue0 + off[j]``.
+    # ---- end of replay ----------------------------------------------------------
 
-        Returns ``(max done over demand loads, max done over all
-        records)`` — the two quantities the core's cycle update needs.
+    def finish(self) -> None:
+        """Flush deferred statistics and release the device state.
+
+        Called once, at end of replay.  The last core to finish on a
+        system writes the packed device state back, so ``BankState``,
+        bus and refresh fields are exact whenever no kernel replay is in
+        flight.
         """
-        ctrl_l = self.ctrl_l
-        controllers = self.controllers
-        if e - s == 1:
-            # Singleton episodes skip the sort, like the reference skips
-            # the scheduler for len-1 batches.
-            j = s
-            lmax, dmax = controllers[ctrl_l[j]].service_soa(
-                self, ((issue0 + off[j], j),))
-        else:
-            klass_l = self.klass_l
-            row_l = self.row_l
-            fbank_l = self.fbank_l
-            gaddr_l = self.gaddr_l
-            mode = self._ctrl_mode
-            banks_by = self._banks_by_ctrl
-            keyed = []
-            ap = keyed.append
-            for j in range(s, e):
-                c = ctrl_l[j]
-                issue = issue0 + off[j]
-                if mode[c] == 0:
-                    bank = banks_by[c][fbank_l[j]]
-                    ap((c, klass_l[j],
-                        0 if bank.open_row == row_l[j] else 1,
-                        issue, gaddr_l[j], issue, j))
-                else:
-                    ap((c, issue, gaddr_l[j], 0, 0, issue, j))
-            keyed.sort()
-            lmax = dmax = -(1 << 62)
-            lo = 0
-            n = len(keyed)
-            while lo < n:
-                c = keyed[lo][0]
-                hi = lo + 1
-                while hi < n and keyed[hi][0] == c:
-                    hi += 1
-                l2, d2 = controllers[c].service_soa(self, keyed[lo:hi])
-                if l2 > lmax:
-                    lmax = l2
-                if d2 > dmax:
-                    dmax = d2
-                lo = hi
-        if OBS.enabled:
-            OBS.add("memsys.batches")
-            OBS.add("memsys.requests", e - s)
-            grp_l = self.grp_l
-            gcounts: dict[int, int] = {}
-            for j in range(s, e):
-                g = grp_l[j]
-                gcounts[g] = gcounts.get(g, 0) + 1
-            for g, cnt in gcounts.items():
-                OBS.add(f"memsys.group.{self._group_names[g]}.requests", cnt)
-        return lmax, dmax
-
-    # ---- deferred statistics ----------------------------------------------------
+        self.flush_stats()
+        dev = self.dev
+        dev.active -= 1
+        if dev.active == 0:
+            dev.store()
+            _DEVICES.pop(self.memsys, None)
 
     def flush_stats(self) -> None:
         """Fold the per-record outputs into module/controller counters.
 
-        Called once, at end of replay, per (core, memsys) table.  Exact
-        integer aggregation throughout (int64 sums, no float weights).
-        Assumes device timing did not change mid-replay (fault derating
-        happens before replay starts).
+        Exact integer aggregation throughout (int64 sums, no float
+        weights).  Assumes device timing did not change mid-replay
+        (fault derating happens before replay starts).
         """
-        if self._flushed:
-            return
-        self._flushed = True
-        done = np.asarray(self.done_l, dtype=np.int64)
-        queue = np.asarray(self.queue_l, dtype=np.int64)
-        service = np.asarray(self.service_l, dtype=np.int64)
-        hit = np.asarray(self.hit_l, dtype=bool)
-        bb = np.asarray(self.bb_l, dtype=np.int64)
-        ctrl = self._ctrl_np
-        write = self._write_np
-        demand = self._demand_np
-        for ci, c in enumerate(self.controllers):
+        done, queue, service = self.done, self.queue, self.service
+        hit, bb, ctrl = self.hit, self.bb, self.ctrl
+        write, demand = self.write, self.demand
+        obs = OBS.enabled
+        for ci, c in enumerate(self.dev.controllers):
             sel = np.flatnonzero(ctrl == ci)
             cnt = len(sel)
             if not cnt:
                 continue
             m = c.module
             n_writes = int(write[sel].sum())
+            n_hits = int(hit[sel].sum())
+            queue_sum = int(queue[sel].sum())
             m.n_accesses += cnt
-            m.n_row_hits += int(hit[sel].sum())
+            m.n_row_hits += n_hits
             m.n_writes += n_writes
             m.n_reads += cnt - n_writes
             m.bus_busy_cycles += m.timing.transfer_cycles(c.line_bytes) * cnt
@@ -273,8 +504,27 @@ class ReplayTables:
             if done_max > m.last_done_cycle:
                 m.last_done_cycle = done_max
             c.n_served += cnt
-            c.total_queue_cycles += int(queue[sel].sum())
+            c.total_queue_cycles += queue_sum
             c.total_service_cycles += int(service[sel].sum())
             dsel = sel[demand[sel]]
             if len(dsel):
                 c.latency_hist.record_many(queue[dsel] + service[dsel])
+            if obs:
+                name = m.name
+                OBS.add(f"mem.{name}.requests", cnt)
+                OBS.add(f"mem.{name}.row_hits", n_hits)
+                OBS.add(f"mem.{name}.queue_cycles", queue_sum)
+                # The last batch this channel served: its episode's
+                # records on this channel.
+                ep = np.searchsorted(self.ep_start, sel[-1], side="right") - 1
+                lo, hi = self.ep_start[ep], self.ep_start[ep + 1]
+                OBS.gauge(f"mem.{name}.queue_occupancy",
+                          int((ctrl[lo:hi] == ci).sum()))
+        if obs:
+            OBS.add("memsys.batches", len(self.ep_issue0))
+            OBS.add("memsys.requests", len(done))
+            names = self.memsys.group_names
+            counts = np.bincount(self._groups, minlength=len(names))
+            for g, cnt in enumerate(counts.tolist()):
+                if cnt:
+                    OBS.add(f"memsys.group.{names[g]}.requests", cnt)

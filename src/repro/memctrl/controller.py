@@ -34,9 +34,6 @@ class ChannelController:
         self.total_service_cycles = 0
         #: Demand-request latency distribution (loads + stores).
         self.latency_hist = LatencyHistogram()
-        #: Cached timing constants for service_soa, keyed on the timing
-        #: object so a pre-replay derate() invalidates it.
-        self._soa_cache = None
 
     def service_batch(self, batch: Sequence[MemRequest]) -> None:
         """Serve a batch of requests, mutating each request in place.
@@ -73,135 +70,6 @@ class ChannelController:
             OBS.add(f"mem.{name}.queue_cycles",
                     sum(r.queue_cycles for r in ordered))
             OBS.gauge(f"mem.{name}.queue_occupancy", len(ordered))
-
-    def service_soa(self, tb, recs) -> tuple[int, int]:
-        """Fast-path drain: pre-ordered records against inlined timing.
-
-        ``tb`` is a :class:`~repro.memctrl.batch.ReplayTables`; ``recs``
-        is this channel's slice of the episode, already in scheduler
-        order, each record a tuple whose last two fields are ``(...,
-        issue_cycle, record_index)``.  Device *state* (banks, buses,
-        activate history, refresh) mutates live exactly as
-        :meth:`~repro.memdev.module.MemoryModule.access` +
-        :meth:`~repro.memdev.bank.BankState.service` would — the
-        arithmetic below is a manual inline of those two methods and must
-        stay in lockstep with them (``tests/test_parity.py`` pins the
-        equivalence).  Pure counters go to ``tb``'s per-record columns
-        and reach the module/controller via
-        :meth:`~repro.memctrl.batch.ReplayTables.flush_stats`.
-
-        Returns ``(max done over demand loads, max done over all recs)``.
-        """
-        m = self.module
-        t = m.timing
-        cache = self._soa_cache
-        if cache is None or cache[0] is not t:
-            cache = (
-                t, [b for sub in m.banks for b in sub],
-                t.tCL, t.tCCD, t.tRP, t.tRAS, t.tRC, t.tRCD, t.tFAW,
-                t.turnaround, t.transfer_cycles(self.line_bytes),
-                t.row_miss_latency, t.row_conflict_latency,
-            )
-            self._soa_cache = cache
-        (_, flat_banks, tCL, tCCD, tRP, tRAS, tRC, tRCD, tFAW,
-         turnaround, transfer, miss_lat, conflict_lat) = cache
-        hit_service = tCL + transfer
-        miss_service = miss_lat + transfer
-        conflict_service = conflict_lat + transfer
-        fbank_l = tb.fbank_l
-        row_l = tb.row_l
-        sub_l = tb.sub_l
-        write_l = tb.write_l
-        klass_l = tb.klass_l
-        done_l = tb.done_l
-        queue_l = tb.queue_l
-        service_l = tb.service_l
-        hit_l = tb.hit_l
-        bb_l = tb.bb_l
-        bus_free = m.bus_free_at
-        last_w = m._last_was_write
-        recents = m._recent_acts
-        load_done_max = done_max = -(1 << 62)
-        for rec in recs:
-            issue = rec[-2]
-            j = rec[-1]
-            if issue >= m._next_refresh:
-                m._do_refresh(issue)
-            bank = flat_banks[fbank_l[j]]
-            row = row_l[j]
-            sub = sub_l[j]
-            ready = bank.ready_at
-            start = issue if issue > ready else ready
-            open_row = bank.open_row
-            if open_row == row:
-                hit_l[j] = True
-                data_ready = start + tCL
-                bank.ready_at = start + tCCD
-                bb_l[j] = tCCD
-                service = hit_service
-            else:
-                if tFAW > 0:
-                    acts = recents[sub]
-                    if len(acts) >= 4:
-                        faw = acts[-4] + tFAW
-                        if faw > start:
-                            start = faw
-                la = bank.last_activate
-                if open_row is not None:
-                    pre = la + tRAS
-                    if start > pre:
-                        pre = start
-                    act = pre + tRP
-                    if la + tRC > act:
-                        act = la + tRC
-                    service = conflict_service
-                else:
-                    act = la + tRC
-                    if start > act:
-                        act = start
-                    service = miss_service
-                bank.last_activate = act
-                bank.open_row = row
-                data_ready = act + tRCD + tCL
-                bank.ready_at = data_ready
-                bb_l[j] = data_ready - start
-                acts = recents[sub]
-                acts.append(act)
-                if len(acts) > 4:
-                    del acts[:-4]
-            bus_start = bus_free[sub]
-            if data_ready > bus_start:
-                bus_start = data_ready
-            is_write = write_l[j]
-            prev_write = last_w[sub]
-            if prev_write is not None and prev_write != is_write:
-                bus_start += turnaround
-            last_w[sub] = is_write
-            done = bus_start + transfer
-            bus_free[sub] = done
-            queue = done - issue - service
-            if queue < 0:
-                queue = 0
-            done_l[j] = done
-            queue_l[j] = queue
-            service_l[j] = service
-            if done > done_max:
-                done_max = done
-            if klass_l[j] == 0 and done > load_done_max:
-                load_done_max = done
-        if OBS.enabled:
-            name = m.name
-            n_hits = 0
-            queue_sum = 0
-            for rec in recs:
-                j = rec[-1]
-                n_hits += hit_l[j]
-                queue_sum += queue_l[j]
-            OBS.add(f"mem.{name}.requests", len(recs))
-            OBS.add(f"mem.{name}.row_hits", n_hits)
-            OBS.add(f"mem.{name}.queue_cycles", queue_sum)
-            OBS.gauge(f"mem.{name}.queue_occupancy", len(recs))
-        return load_done_max, done_max
 
     @property
     def mean_latency(self) -> float:

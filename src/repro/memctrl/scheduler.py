@@ -37,7 +37,7 @@ def frfcfs_order(module: MemoryModule, batch: Sequence[MemRequest]) -> list[MemR
     open still sorts as a miss (and vice versa: a "hit" may find its row
     closed by an intervening conflict by the time it is served).  Real
     FR-FCFS re-evaluates per scheduling slot; the batch model pays the
-    sort once.  The SoA fast path snapshots at the same instant —
+    sort once.  The compiled replay kernel snapshots at the same instant —
     ``tests/test_memctrl.py`` pins the semantics so the kernelized
     drain cannot silently change it.
     """

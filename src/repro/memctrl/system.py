@@ -104,7 +104,7 @@ class MemorySystem:
     def controller_layout(self) -> tuple[list[ChannelController], list[int]]:
         """Flat controller list + per-group base offsets.
 
-        The SoA replay kernel (``repro.memctrl.batch``) addresses every
+        The compiled replay kernel (``repro.memctrl.batch``) addresses every
         channel in the system by one flat index ``bases[group] +
         channel``; bases follow group declaration order, matching
         :attr:`groups`.

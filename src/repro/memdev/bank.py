@@ -63,10 +63,11 @@ class BankState:
         rounding of tRC — derated or custom parts hit this — so both
         guards are enforced independently.)
 
-        NOTE: :meth:`repro.memctrl.controller.ChannelController
-        .service_soa` inlines this arithmetic on its fast path; keep the
-        two in lockstep (the parity suite in ``tests/test_parity.py``
-        pins the equivalence).
+        NOTE: the compiled replay kernel (``serve`` in
+        ``src/repro/memctrl/replay_kernel.c``) repeats this arithmetic,
+        and that of :meth:`MemoryModule.access` and :meth:`refresh`, on
+        the fast path; keep them in lockstep (the parity suite in
+        ``tests/test_parity.py`` pins the equivalence).
         """
         start = max(start, self.ready_at)
         if self.open_row == row:

@@ -17,7 +17,7 @@ from repro.moca.classify import DEFAULT_THRESHOLDS, Thresholds, classify_object
 from repro.moca.naming import ObjectName, name_from_site
 from repro.moca.profiler import ProfiledApp, profile_app
 from repro.obs.registry import OBS
-from repro.trace.events import AccessTrace
+from repro.trace.events import AccessTrace, VirtualLayout
 from repro.vm.heap import ObjectType
 from repro.workloads.inputs import TRAIN
 
@@ -57,6 +57,10 @@ class InstrumentedApp:
         for t in self.types.values():
             counts[t] += 1
         return counts
+
+
+def _layout_of(trace: AccessTrace | VirtualLayout) -> VirtualLayout:
+    return trace if isinstance(trace, VirtualLayout) else trace.layout
 
 
 class MocaFramework:
@@ -144,25 +148,29 @@ class MocaFramework:
                 for a, prof, types in zip(app_names, profs, per_app_types)]
 
     def runtime_types(self, instrumented: InstrumentedApp,
-                      trace: AccessTrace) -> dict[int, ObjectType]:
+                      trace: AccessTrace | VirtualLayout
+                      ) -> dict[int, ObjectType]:
         """Resolve instrumented names against a runtime trace's objects.
 
+        ``trace`` may also be the trace's :class:`VirtualLayout` alone
+        (``repro.workloads.inputs.app_layout``), the only part read.
         Objects whose allocation site was never profiled stay out of the
         map — the allocator defaults them to the power module, exactly
         like the paper's unclassified pages.
         """
         out: dict[int, ObjectType] = {}
-        for obj in trace.layout.objects:
+        for obj in _layout_of(trace).objects:
             typ = instrumented.type_of_site(obj.site)
             if typ is not None:
                 out[obj.obj_id] = typ
         return out
 
     def runtime_heat(self, instrumented: InstrumentedApp,
-                     trace: AccessTrace) -> dict[int, float]:
-        """Resolve profiled miss densities against a runtime trace."""
+                     trace: AccessTrace | VirtualLayout) -> dict[int, float]:
+        """Resolve profiled miss densities against a runtime trace
+        (or its layout, as in :meth:`runtime_types`)."""
         return {
             obj.obj_id: instrumented.heat_of_site(obj.site)
-            for obj in trace.layout.objects
+            for obj in _layout_of(trace).objects
             if instrumented.heat_of_site(obj.site) > 0.0
         }

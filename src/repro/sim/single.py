@@ -29,7 +29,12 @@ from repro.sim.config import CAPACITY_SCALE, SystemConfig
 from repro.trace.chunked import CorruptTraceError
 from repro.trace.events import VirtualLayout
 from repro.util.units import MIB
-from repro.workloads.inputs import REF, build_app_trace, build_app_trace_chunked
+from repro.workloads.inputs import (
+    REF,
+    app_layout,
+    build_app_trace,
+    build_app_trace_chunked,
+)
 from repro.sim.metrics import RunMetrics, collect_metrics
 
 #: (app, input, n_accesses) → how its stream was obtained; feeds
@@ -245,7 +250,7 @@ def _run_single(app_name: str, config: SystemConfig,
         else:
             stream, _ = filtered_stream(app_name, input_name, n_accesses,
                                         fast_path)
-            layout = build_app_trace(app_name, input_name, n_accesses).layout
+            layout = app_layout(app_name, input_name)
         with OBS.span("placement", policy=label):
             memsys = config.build()
             if faults is not None:

@@ -97,7 +97,7 @@ class RunSpec:
             fault runs never share cache entries with clean runs — while
             clean specs keep their pre-fault-era keys.
         fast_path: Replay engine selector.  ``True`` (the default) uses
-            the kernelized SoA replay, ``False`` forces the per-record
+            the compiled replay kernel, ``False`` forces the per-record
             reference interpreter.  The two are bit-identical (pinned by
             ``tests/test_parity.py``), so the flag enters the canonical
             form only when *off* — every default spec keeps the exact

@@ -147,6 +147,23 @@ class TraceBuilder:
         if n_accesses <= 0:
             raise ValueError("n_accesses must be positive")
         layout = layout if layout is not None else VirtualLayout()
+        bases, ids = self.place_objects(layout)
+
+        from repro.trace import kernel
+        fast = fast_path if fast_path is not None else fast_path_default()
+        if fast and kernel.supported(self, rng):
+            return kernel.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
+        return self._iter_reference(n_accesses, rng, bases, ids)
+
+    def place_objects(self, layout: VirtualLayout
+                      ) -> tuple[list[int], list[int]]:
+        """Place every behaviour's object in ``layout``, in order.
+
+        Returns each behaviour's virtual base and object id.  Heap
+        objects are appended to the layout; segment behaviours attach
+        to their fixed segment.  The layout depends on nothing but the
+        behaviours, so it can be derived without synthesizing a trace.
+        """
         bases: list[int] = []
         ids: list[int] = []
         for b in self.behaviors:
@@ -161,12 +178,7 @@ class TraceBuilder:
                         f"behaviour {b.name!r} larger than its segment")
                 bases.append(seg.vbase)
                 ids.append(seg.obj_id)
-
-        from repro.trace import kernel
-        fast = fast_path if fast_path is not None else fast_path_default()
-        if fast and kernel.supported(self, rng):
-            return kernel.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
-        return self._iter_reference(n_accesses, rng, bases, ids)
+        return bases, ids
 
     def _iter_reference(self, n_accesses: int, rng: np.random.Generator,
                         bases: list[int], ids: list[int]):

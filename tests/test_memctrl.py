@@ -110,8 +110,8 @@ class TestSchedulers:
         """Hit/miss classification is frozen when the batch arrives: a
         request targeting the row an earlier same-batch request is about
         to open still sorts — and pays — as a miss.  Pins the snapshot
-        policy documented on :func:`frfcfs_order`, which the SoA fast
-        path reproduces."""
+        policy documented on :func:`frfcfs_order`, which the compiled
+        replay kernel reproduces."""
         m = MemoryModule(DDR3, 16 * MIB)
         row_stride = (DDR3.effective_row_bytes * DDR3.n_banks
                       * DDR3.n_subchannels)

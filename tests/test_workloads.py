@@ -3,7 +3,13 @@
 import pytest
 
 from repro.trace.events import PAGE_BYTES
-from repro.workloads.inputs import REF, TRAIN, build_app_trace, input_names
+from repro.workloads.inputs import (
+    REF,
+    TRAIN,
+    app_layout,
+    build_app_trace,
+    input_names,
+)
 from repro.workloads.mixes import MIX_NAMES, MIXES, mix, parse_mix_name
 from repro.workloads.spec import APP_CLASSES, APPS, app, apps_in_class
 
@@ -101,6 +107,23 @@ class TestInputs:
         r = build_app_trace("mcf", REF, 5_000)
         for o in r.layout.objects:
             assert o.size_bytes % PAGE_BYTES == 0
+
+    @pytest.mark.parametrize("input_name", [TRAIN, REF, "ref3", "drift2"])
+    def test_app_layout_matches_trace_layout(self, input_name):
+        """The memoized layout is the trace's, without synthesizing it."""
+        def doc(layout):
+            return [(o.obj_id, o.name, o.vbase, o.size_bytes, o.site)
+                    for o in layout.all_regions()]
+
+        for name in APPS:
+            layout = app_layout(name, input_name)
+            trace = build_app_trace(name, input_name, 2_000)
+            assert doc(layout) == doc(trace.layout), name
+            assert app_layout(name, input_name) is layout
+
+    def test_app_layout_rejects_unknown_input(self):
+        with pytest.raises(ValueError):
+            app_layout("mcf", "validation")
 
 
 class TestMixes:
