@@ -70,25 +70,17 @@ def arm_allocator(allocator, plan: FaultPlan) -> None:
     """Install the plan's capacity faults on an allocator.
 
     ``trigger_page == 0`` applies them before the first allocation;
-    otherwise a hook counts allocations and trips once the threshold is
-    crossed, modelling a module that fails *while* the workload is
-    being placed.
+    otherwise the allocator trips them just before page request
+    ``trigger_page + 1`` (splitting an object's run there if need be),
+    modelling a module that fails *while* the workload is being placed.
     """
     if not plan.has_capacity_fault:
         return
     if plan.trigger_page <= 0:
         _apply_pool_faults(allocator, plan)
         return
-
-    state = {"pages": 0, "tripped": False}
-
-    def hook() -> None:
-        state["pages"] += 1
-        if not state["tripped"] and state["pages"] > plan.trigger_page:
-            state["tripped"] = True
-            _apply_pool_faults(allocator, plan)
-
-    allocator.fault_hook = hook
+    allocator.arm_fault(plan.trigger_page,
+                        lambda: _apply_pool_faults(allocator, plan))
 
 
 # ---- guidance (LUT) faults --------------------------------------------------

@@ -3,9 +3,10 @@
 A policy answers one question — *what type is this page's object?* — and
 :func:`plan_placement` does the rest: it walks every virtual page of the
 workload in first-touch order (demand paging across all cores), asks the
-policy for the page's type, lets the OS allocator pick a frame through the
-type's fallback chain, and finally translates each core's miss stream to
-``(channel group, physical address)`` arrays for the core model.
+policy for the page's type, lets the OS allocator pick frames through the
+type's fallback chain — one call per object, taking a run of frames from
+each pool in the chain — and finally translates each core's miss stream
+to ``(channel group, physical address)`` arrays for the core model.
 
 Policies:
 
@@ -25,11 +26,7 @@ import numpy as np
 from repro.cpu.hierarchy import MissStream
 from repro.obs.registry import OBS
 from repro.trace.events import PAGE_BYTES, VirtualLayout
-from repro.vm.allocator import (
-    AllocationStats,
-    OSPageAllocator,
-    OutOfFramesError,
-)
+from repro.vm.allocator import AllocationStats, OSPageAllocator
 from repro.vm.heap import ObjectType
 
 #: Per-core virtual-address-space separation for page-table keys.
@@ -160,13 +157,15 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
     if layouts is not None and len(layouts) != len(streams):
         raise ValueError("need one layout per stream")
     # Per (core, object): pages to back, in allocation order.
-    objects: list[tuple[float, int, int, list[int]]] = []
+    objects: list[tuple[float, int, int, np.ndarray]] = []
     if layouts is not None:
         for core, layout in enumerate(layouts):
             for region in layout.all_regions():
                 prio = policy.object_priority(core, region.obj_id)
+                pages = region.pages()
                 objects.append((prio, region.obj_id, core,
-                                list(region.pages())))
+                                np.arange(pages.start, pages.stop,
+                                          dtype=np.int64)))
     else:
         for core, stream in enumerate(streams):
             if len(stream) == 0:
@@ -179,7 +178,7 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
                 order = np.argsort(first_idx[mask], kind="stable")
                 pages = uniq[mask][order]
                 prio = policy.object_priority(core, int(obj))
-                objects.append((prio, int(obj), core, pages.tolist()))
+                objects.append((prio, int(obj), core, pages))
     # Priority first; then instantiation order (segments before heap,
     # lower allocation sites first), round-robin across cores.
     objects.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -187,21 +186,14 @@ def plan_placement(streams: list[MissStream], policy: PlacementPolicy,
     for _, obj, core, pages in objects:
         typ = policy.object_type(core, obj)
         base = core * (CORE_STRIDE // PAGE_BYTES)
-        for vpage in pages:
-            try:
-                allocator.allocate_page(base + vpage, typ)
-            except OutOfFramesError:
-                # Every pool is full (offlined/shrunken modules, or a
-                # working set beyond physical capacity): degrade to the
-                # overcommit path instead of aborting the run.  The
-                # paper's OS would swap here; we keep the page in the
-                # worst acceptable module and count it.
-                if not exhausted_warned:
-                    exhausted_warned = True
-                    OBS.warn(
-                        f"placement: all frame pools exhausted placing "
-                        f"{typ.name} pages; overcommitting (degraded run)")
-                allocator.allocate_overcommit(base + vpage, typ)
+        # Pages that find every pool full (offlined/shrunken modules, or
+        # a working set beyond physical capacity) are overcommitted rather
+        # than aborting the run: the paper's OS would swap here; we keep
+        # the page in the worst acceptable module and count it.
+        if allocator.place_pages(pages + base, typ) and not exhausted_warned:
+            exhausted_warned = True
+            OBS.warn(f"placement: all frame pools exhausted placing "
+                     f"{typ.name} pages; overcommitting (degraded run)")
     # Translate every stream against the finished page table.
     groups: list[np.ndarray] = []
     gaddrs: list[np.ndarray] = []

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.moca.lut import ObjectProfile, ProfileLUT
 from repro.moca.naming import ObjectName, name_from_site
 from repro.moca.policy import CapacityBudget, ClassificationPolicy, UNLIMITED
@@ -245,12 +247,12 @@ class GuidanceService:
         the number of forced requests queued.
         """
         pt = tenant.allocator.page_table
-        pools = tenant.allocator.pools
+        offline = [g for g, p in tenant.allocator.pools.items()
+                   if p.is_offline]
         forced = 0
         for obj_id, pages in tenant._pages_of.items():
-            stranded = any(pools[pt.lookup(key)[0]].is_offline
-                           for key in pages)
-            if not stranded:
+            groups, _ = pt.lookup_many(pages)
+            if not np.isin(groups, offline).any():
                 continue
             target = tenant.current_types.get(obj_id, ObjectType.POW)
             tenant.queue.push(MoveRequest(
@@ -438,8 +440,16 @@ class GuidanceService:
         shoot = self.spec.shootdown_cycles
         overhead = 0
         pages_moved = 0
-        for key in tenant._pages_of.get(req.obj_id, ()):
-            cur_group, cur_frame = pt.lookup(key)
+        keys = tenant._pages_of.get(req.obj_id, [])
+        cur_groups, cur_frames = pt.lookup_many(keys)
+        # Nothing below reads the table again, so the moves are remapped
+        # in one call at the end.
+        moved_keys: list[int] = []
+        moved_groups: list[int] = []
+        moved_frames: list[int] = []
+        out_of_budget = False
+        for key, cur_group, cur_frame in zip(keys, cur_groups.tolist(),
+                                             cur_frames.tolist()):
             cur_offline = pools[cur_group].is_offline
             if req.forced and not cur_offline:
                 # Fault reaction only evacuates stranded pages; healthy
@@ -473,13 +483,17 @@ class GuidanceService:
                     + shoot)
             if not budget.can_move_page(cost):
                 pools[dst].free(frame)  # return the speculative frame
-                return (overhead, pages_moved), True
+                out_of_budget = True
+                break
             charge_page_copy(tenant.memsys, tenant.migration,
                              cur_group, dst, shoot)
             budget.charge_page(cost)
-            pt.remap(key, dst, frame)
+            moved_keys.append(key)
+            moved_groups.append(dst)
+            moved_frames.append(frame)
             pools[cur_group].free(cur_frame)
             overhead += cost
             pages_moved += 1
             tenant.migration.n_migrations += 1
-        return (overhead, pages_moved), False
+        pt.remap_many(moved_keys, moved_groups, moved_frames)
+        return (overhead, pages_moved), out_of_budget

@@ -5,19 +5,28 @@ latency module, which the bandwidth module, ...), the allocator resolves
 an object type's fallback chain to concrete groups and hands out frames,
 spilling to the next-best module when the preferred pool is full.
 
+Pages are placed in runs: :meth:`OSPageAllocator.place_pages` takes a
+whole object's page array, draws a run of frames from each pool of the
+chain in turn (each pool is the paper's bump allocator) and maps the runs
+in one call each, so placement costs a few numpy calls per object rather
+than Python work per page.
+
 Exhaustion is a first-class outcome, not just an exception:
 :meth:`OSPageAllocator.allocate_page` raises :class:`OutOfFramesError`
 (carrying per-pool occupancy and the requested type) when every pool in
-the chain is out of frames, and :meth:`OSPageAllocator.allocate_overcommit`
-is the degraded path the placement planner takes instead of crashing —
-it models the OS swapping past physical capacity, with every such page
-tallied in :class:`AllocationStats` so a degraded run stays measurable.
+the chain is out of frames, while ``place_pages`` by default overcommits
+instead — the degraded path the placement planner takes rather than
+crashing.  It models the OS swapping past physical capacity, with every
+such page tallied in :class:`AllocationStats` so a degraded run stays
+measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro.obs.registry import OBS
 from repro.vm.heap import FALLBACK_CHAINS, ObjectType
@@ -63,11 +72,13 @@ class AllocationStats:
     exhausted: dict[ObjectType, int] = field(
         default_factory=lambda: {t: 0 for t in ObjectType})
 
-    def record(self, typ: ObjectType, group: int, spilled: bool) -> None:
+    def record(self, typ: ObjectType, group: int, n: int,
+               spilled: bool) -> None:
+        """Count ``n`` pages of ``typ`` placed in ``group``."""
         by_group = self.placed[typ]
-        by_group[group] = by_group.get(group, 0) + 1
+        by_group[group] = by_group.get(group, 0) + n
         if spilled:
-            self.spills[typ] += 1
+            self.spills[typ] += n
 
     @property
     def total_pages(self) -> int:
@@ -112,12 +123,6 @@ class OSPageAllocator:
             A role may be absent (e.g. no RLDRAM in a homogeneous system);
             chains skip absent roles.
         page_table: Shared page table to record mappings into.
-
-    Attributes:
-        fault_hook: Optional callable invoked before every allocation —
-            the fault-injection layer (:mod:`repro.faults.inject`) uses it
-            to offline/shrink pools after a page-count threshold,
-            modelling a module failing mid-run.
     """
 
     def __init__(self, pools: dict[int, FramePool], roles: dict[str, int],
@@ -131,7 +136,8 @@ class OSPageAllocator:
         self.roles = dict(roles)
         self.page_table = page_table or PageTable()
         self.stats = AllocationStats()
-        self.fault_hook: Callable[[], None] | None = None
+        self._requested = 0  # pages asked of place_pages so far
+        self._fault: tuple[int, Callable[[], None]] | None = None
         # Resolve each type's role chain to concrete group indices once.
         self._chains: dict[ObjectType, list[int]] = {}
         for typ, role_chain in FALLBACK_CHAINS.items():
@@ -152,31 +158,102 @@ class OSPageAllocator:
         return {g: (p.n_allocated, p.n_frames)
                 for g, p in self.pools.items()}
 
+    def arm_fault(self, after_pages: int, action: Callable[[], None]) -> None:
+        """Run ``action`` once, just before page request number
+        ``after_pages + 1`` — mid-object if that is where it falls.  The
+        fault-injection layer (:mod:`repro.faults.inject`) uses it to
+        offline/shrink pools, modelling a module failing mid-run."""
+        self._fault = (self._requested + after_pages, action)
+
+    def place_pages(self, vpages: np.ndarray, typ: ObjectType, *,
+                    overcommit: bool = True) -> int:
+        """Map every page of ``vpages``, in order, with frames for ``typ``.
+
+        Each page takes the first pool of the type's chain with a frame
+        left, so the array splits into one run per pool.  Pages that find
+        every pool full are overcommitted (see
+        :meth:`allocate_overcommit`), or raise :class:`OutOfFramesError`
+        with ``overcommit=False``.  Returns the number overcommitted.
+        """
+        return self._place(vpages, typ, overcommit)[0]
+
+    def _place(self, vpages: np.ndarray, typ: ObjectType,
+               overcommit: bool) -> tuple[int, int, int]:
+        """:meth:`place_pages`, also returning the ``(group, frame)`` the
+        last page got (``(-1, -1)`` for no pages)."""
+        vpages = np.asarray(vpages, dtype=np.int64)
+        n = len(vpages)
+        start = 0
+        overcommitted = 0
+        if self._fault is not None:
+            at, action = self._fault
+            split = at - self._requested
+            if split < n:
+                overcommitted = self._place_run(vpages[:split], typ,
+                                                overcommit)[0]
+                self._requested += split
+                start = split
+                self._fault = None
+                action()
+        self._requested += n - start
+        rest, group, frame = self._place_run(vpages[start:], typ, overcommit)
+        return overcommitted + rest, group, frame
+
+    def _place_run(self, vpages: np.ndarray, typ: ObjectType,
+                   overcommit: bool) -> tuple[int, int, int]:
+        n = len(vpages)
+        placed = 0
+        last = (-1, -1)
+        for i, group in enumerate(self._chains[typ]):
+            if placed == n:
+                break
+            frames = self.pools[group].allocate_run(n - placed)
+            k = len(frames)
+            if not k:
+                continue
+            self.page_table.map_pages(vpages[placed:placed + k], group, frames)
+            self.stats.record(typ, group, k, spilled=i > 0)
+            if OBS.enabled:
+                OBS.add(f"alloc.placed.{typ.name}", k)
+                if i > 0:
+                    # Paper Sec. IV-C/D: the preferred module was
+                    # full and the pages fell through the chain.
+                    OBS.add(f"alloc.spill.{typ.name}", k)
+            placed += k
+            last = (group, int(frames[-1]))
+        rest = n - placed
+        if rest:
+            if OBS.enabled:
+                OBS.add(f"alloc.oom.{typ.name}", rest)
+            if not overcommit:
+                raise OutOfFramesError(typ, self.occupancy())
+            last = self._overcommit(vpages[placed:], typ)
+        return (rest, *last)
+
+    def _overcommit(self, vpages: np.ndarray,
+                    typ: ObjectType) -> tuple[int, int]:
+        chain = self._chains[typ]
+        target = next((g for g in reversed(chain)
+                       if not self.pools[g].is_offline), chain[-1])
+        frames = self.pools[target].allocate_overcommit_run(len(vpages))
+        self.page_table.map_pages(vpages, target, frames)
+        self.stats.record(typ, target, len(vpages), spilled=True)
+        self.stats.exhausted[typ] += len(vpages)
+        if OBS.enabled:
+            OBS.add(f"alloc.overcommit.{typ.name}", len(vpages))
+        return target, int(frames[-1])
+
     def allocate_page(self, vpage: int, typ: ObjectType) -> tuple[int, int]:
         """Map ``vpage`` with a frame of type ``typ``; returns (group, frame).
 
-        Raises :class:`OutOfFramesError` (an :class:`OutOfMemory`) when
-        every pool in the chain is exhausted; resilient callers degrade
-        via :meth:`allocate_overcommit` instead of propagating.
+        One-page :meth:`place_pages` that raises :class:`OutOfFramesError`
+        (an :class:`OutOfMemory`) when every pool in the chain is
+        exhausted; resilient callers degrade via
+        :meth:`allocate_overcommit` instead of propagating.
         """
-        if self.fault_hook is not None:
-            self.fault_hook()
-        chain = self._chains[typ]
-        for i, group in enumerate(chain):
-            frame = self.pools[group].allocate()
-            if frame is not None:
-                self.page_table.map_page(vpage, group, frame)
-                self.stats.record(typ, group, spilled=i > 0)
-                if OBS.enabled:
-                    OBS.add(f"alloc.placed.{typ.name}")
-                    if i > 0:
-                        # Paper Sec. IV-C/D: the preferred module was
-                        # full and the page fell through its chain.
-                        OBS.add(f"alloc.spill.{typ.name}")
-                return group, frame
-        if OBS.enabled:
-            OBS.add(f"alloc.oom.{typ.name}")
-        raise OutOfFramesError(typ, self.occupancy())
+        _, group, frame = self._place(np.array([vpage]), typ,
+                                      overcommit=False)
+        return group, frame
 
     def allocate_overcommit(self, vpage: int, typ: ObjectType) -> tuple[int, int]:
         """Degraded allocation when the whole chain is exhausted.
@@ -187,16 +264,7 @@ class OSPageAllocator:
         ``stats.exhausted`` so graceful degradation is visible in every
         report.
         """
-        chain = self._chains[typ]
-        target = next((g for g in reversed(chain)
-                       if not self.pools[g].is_offline), chain[-1])
-        frame = self.pools[target].allocate_overcommit()
-        self.page_table.map_page(vpage, target, frame)
-        self.stats.record(typ, target, spilled=True)
-        self.stats.exhausted[typ] += 1
-        if OBS.enabled:
-            OBS.add(f"alloc.overcommit.{typ.name}")
-        return target, frame
+        return self._overcommit(np.array([vpage]), typ)
 
     def free_frames(self) -> dict[int, int]:
         """Remaining frames per group."""

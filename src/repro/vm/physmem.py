@@ -8,6 +8,8 @@ can return frames.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.trace.events import PAGE_BYTES
 
 
@@ -32,37 +34,78 @@ class FramePool:
 
     @property
     def frames_left(self) -> int:
+        """Frames :meth:`allocate_run` can still hand out: the free list
+        plus the unbumped tail, never negative (an overcommitted pool has
+        bumped past ``n_frames``)."""
         if self.is_offline:
             return 0
-        return self.n_frames - self._next + len(self._free)
+        return len(self._free) + max(0, self.n_frames - self._next)
 
     @property
     def full(self) -> bool:
         return self.frames_left == 0
 
+    def _take(self, n: int) -> tuple[list[int], int, int]:
+        """Claim up to ``n`` frames: ``(reused, first_fresh, n_fresh)``.
+
+        ``reused`` are freed frames, most-recent first; the fresh frames
+        are ``first_fresh .. first_fresh + n_fresh - 1``.
+        """
+        if self.is_offline or n <= 0:
+            return [], self._next, 0
+        free = self._free
+        if free:
+            reused = free[:-n - 1:-1]  # the last n freed, most recent first
+            del free[-n:]
+            n -= len(reused)
+        else:
+            reused = []
+        first = self._next
+        room = self.n_frames - first  # negative once overcommitted
+        n_fresh = n if n <= room else max(room, 0)
+        self._next = first + n_fresh
+        self.n_allocated += len(reused) + n_fresh
+        return reused, first, n_fresh
+
+    def allocate_run(self, n: int) -> np.ndarray:
+        """Take up to ``n`` frames; returns them as an int64 array.
+
+        The order is exactly what ``n`` calls to :meth:`allocate` would
+        return: freed frames most-recent first, then fresh frames in
+        ascending order.  Fewer than ``n`` come back when the pool runs
+        out (none when it is offline).
+        """
+        reused, first, n_fresh = self._take(n)
+        fresh = np.arange(first, first + n_fresh, dtype=np.int64)
+        if reused:
+            return np.concatenate((np.array(reused, dtype=np.int64), fresh))
+        return fresh
+
     def allocate(self) -> int | None:
         """Return the next free frame number, or ``None`` when full."""
-        if self.is_offline:
-            return None
-        if self._free:
-            frame = self._free.pop()
-        elif self._next < self.n_frames:
-            frame = self._next
-            self._next += 1
-        else:
-            return None
-        self.n_allocated += 1
-        return frame
+        reused, first, n_fresh = self._take(1)
+        if reused:
+            return reused[0]
+        return first if n_fresh else None
 
-    def allocate_overcommit(self) -> int:
-        """Hand out a frame *beyond* capacity (the OS's swap of last
+    def _overcommit(self, n: int) -> int:
+        """Bump ``n`` frames past capacity; returns the first."""
+        first = self._next
+        self._next += n
+        self.n_allocated += n
+        self.n_overcommitted += n
+        return first
+
+    def allocate_overcommit_run(self, n: int) -> np.ndarray:
+        """Hand out ``n`` frames *beyond* capacity (the OS's swap of last
         resort): never fails, but every such frame is tallied in
         ``n_overcommitted`` so degraded runs are measurable."""
-        frame = self._next
-        self._next += 1
-        self.n_allocated += 1
-        self.n_overcommitted += 1
-        return frame
+        first = self._overcommit(n)
+        return np.arange(first, first + n, dtype=np.int64)
+
+    def allocate_overcommit(self) -> int:
+        """One-frame :meth:`allocate_overcommit_run`."""
+        return self._overcommit(1)
 
     # ---- fault injection -----------------------------------------------------
 

@@ -154,7 +154,7 @@ class TestServiceInvariants:
             next(iter(bad.objects.values())).stall_cycles = math.nan
 
         pt = tenant.allocator.page_table
-        pt_before = dict(pt._map)
+        pt_before = pt.snapshot()
         ewma_before = {o: (s.ewma_mpki, s.ewma_spm, s.ewma_wf, s.epochs_seen)
                        for o, s in tenant.detector.objects.items()}
         streaks_before = dict(tenant.gate._streaks)
@@ -165,7 +165,7 @@ class TestServiceInvariants:
         assert d.reject_reason in ("missing", "short", "corrupt")
         assert d.pages_moved == 0 and d.overhead_cycles == 0
         assert not d.moves
-        assert dict(pt._map) == pt_before
+        assert pt.snapshot() == pt_before
         assert {o: (s.ewma_mpki, s.ewma_spm, s.ewma_wf, s.epochs_seen)
                 for o, s in tenant.detector.objects.items()} == ewma_before
         assert dict(tenant.gate._streaks) == streaks_before
@@ -182,12 +182,12 @@ class TestGuidanceService:
         service, tenant, cls = make_world(OnlineSpec(warmup_epochs=0,
                                                      min_epoch_records=1))
         cls.assignment = assignment_for(tenant, ObjectType.POW)
-        pt_before = dict(tenant.allocator.page_table._map)
+        pt_before = tenant.allocator.page_table.snapshot()
         for epoch in range(6):
             d = service.end_epoch(tenant, healthy_sample(epoch, tenant))
             assert d.accepted and not d.moves
         assert tenant.stats.moves == 0
-        assert dict(tenant.allocator.page_table._map) == pt_before
+        assert tenant.allocator.page_table.snapshot() == pt_before
 
     def test_sustained_flip_moves_after_k_epochs(self):
         spec = OnlineSpec(hysteresis_epochs=2, warmup_epochs=0,

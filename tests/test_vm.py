@@ -40,6 +40,32 @@ class TestFramePool:
         p.allocate()
         assert p.utilization == pytest.approx(0.25)
 
+    def test_frames_left_never_negative_when_overcommitted(self):
+        p = FramePool(2 * PAGE_BYTES, group=0)
+        p.allocate()
+        p.allocate()
+        p.allocate_overcommit()
+        assert p.frames_left == 0
+        assert p.full
+        assert len(p.allocate_run(3)) == 0
+        alloc = OSPageAllocator({0: p}, roles={"main": 0})
+        assert alloc.free_frames() == {0: 0}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_allocate_run_matches_single_frame_calls(self, n):
+        pools = FramePool(6 * PAGE_BYTES, 0), FramePool(6 * PAGE_BYTES, 0)
+        for p in pools:
+            got = [p.allocate() for _ in range(4)]
+            p.free(got[2])
+            p.free(got[0])
+        run = pools[0].allocate_run(n)
+        assert run.dtype == np.int64
+        single = [pools[1].allocate() for _ in range(n)]
+        assert run.tolist() == [f for f in single if f is not None]
+        assert run.tolist() == [0, 2, 4, 5][:n]
+        assert (pools[0].n_allocated, pools[0].frames_left) == \
+            (pools[1].n_allocated, pools[1].frames_left)
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             FramePool(100, group=0)
@@ -78,13 +104,65 @@ class TestPageTable:
         with pytest.raises(KeyError, match="page fault"):
             pt.translate_lines(np.asarray([5 * PAGE_BYTES]))
 
+    def test_translate_on_empty_table_faults(self):
+        with pytest.raises(KeyError, match="page fault"):
+            PageTable().translate_lines(np.asarray([0]))
+
     def test_translate_after_incremental_maps(self):
         pt = PageTable()
         pt.map_page(0, 0, 0)
         pt.translate_lines(np.asarray([0]))
-        pt.map_page(1, 0, 1)  # invalidates the frozen index
+        pt.map_page(1, 0, 1)  # merged into the columns on the next read
         groups, gaddr = pt.translate_lines(np.asarray([PAGE_BYTES]))
         assert gaddr[0] == PAGE_BYTES
+
+    def test_map_pages_duplicate_rejected_on_merge(self):
+        pt = PageTable()
+        pt.map_pages(np.arange(4), 0, np.arange(4))
+        pt.map_pages(np.array([7, 3]), 1, np.array([0, 1]))
+        with pytest.raises(ValueError, match="already mapped"):
+            len(pt)
+
+    def test_runs_remap_in_place(self):
+        pt = PageTable()
+        pt.map_pages(np.array([5, 1, 3]), 2, np.array([10, 11, 12]))
+        pt.translate_lines(np.asarray([PAGE_BYTES]))
+        assert pt.remap(3, 0, 99) == (2, 12)
+        groups, gaddr = pt.translate_lines(np.asarray([3 * PAGE_BYTES + 64]))
+        assert groups.tolist() == [0]
+        assert gaddr.tolist() == [99 * PAGE_BYTES + 64]
+        assert pt.snapshot() == {1: (2, 11), 3: (0, 99), 5: (2, 10)}
+        pt.remap_many([5, 1], [0, 1], [7, 8])
+        groups, frames = pt.lookup_many([1, 5])
+        assert groups.tolist() == [1, 0] and frames.tolist() == [8, 7]
+        with pytest.raises(KeyError, match="page fault"):
+            pt.lookup_many([2])
+
+    def test_map_pages_keeps_its_own_copy(self):
+        pt = PageTable()
+        vpages, frames = np.arange(4), np.arange(10, 14)
+        pt.map_pages(vpages[1:], 0, frames[1:])
+        vpages[2] = 9
+        frames[:] = 0
+        assert pt.snapshot() == {1: (0, 11), 2: (0, 12), 3: (0, 13)}
+
+    def test_failed_merge_drops_the_queued_runs(self):
+        pt = PageTable()
+        pt.map_pages(np.arange(2), 0, np.arange(2))
+        len(pt)
+        pt.map_pages(np.array([5]), 1, np.array([0]))
+        pt.map_pages(np.array([1]), 1, np.array([1]))
+        with pytest.raises(ValueError, match="already mapped"):
+            len(pt)
+        assert pt.snapshot() == {0: (0, 0), 1: (0, 1)}
+
+    def test_map_page_sees_queued_runs(self):
+        pt = PageTable()
+        pt.map_pages(np.array([4, 2]), 0, np.array([0, 1]))
+        with pytest.raises(ValueError, match="already mapped"):
+            pt.map_page(2, 1, 0)
+        pt.map_page(3, 1, 0)
+        assert pt.snapshot() == {2: (0, 1), 3: (1, 0), 4: (0, 0)}
 
     def test_pages_in_group(self):
         pt = PageTable()
@@ -182,6 +260,22 @@ class TestOSPageAllocator:
         alloc.allocate_page(0, ObjectType.POW)
         with pytest.raises(OutOfMemory):
             alloc.allocate_page(1, ObjectType.POW)
+
+    def test_one_page_calls_do_not_read_the_table_back(self, monkeypatch):
+        """Each call returns the mapping it made, so a loop of one-page
+        calls never merges (re-sorts) the page table."""
+        alloc = OSPageAllocator(_pools([2 * PAGE_BYTES, PAGE_BYTES]),
+                                roles={"lat": 0, "pow": 1})
+
+        def forbidden(self):
+            raise AssertionError("page table merged")
+
+        monkeypatch.setattr(PageTable, "_merge", forbidden)
+        got = [alloc.allocate_page(vp, ObjectType.LAT) for vp in range(3)]
+        got.append(alloc.allocate_overcommit(3, ObjectType.LAT))
+        assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        monkeypatch.undo()
+        assert alloc.page_table.snapshot() == dict(enumerate(got))
 
     def test_missing_roles_are_skipped(self):
         alloc = OSPageAllocator(_pools([MIB]), roles={"main": 0})
