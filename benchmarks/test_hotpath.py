@@ -1,7 +1,8 @@
 """Hot-loop benchmarks: kernelized fast paths vs reference loops.
 
-Times the two per-access Python loops that PRs 4 and 5 kernelized —
-the memory-side replay and the cache-filter front end — on both engines
+Times the per-access Python loops that were kernelized — the
+memory-side replay (single-core, and four cores interleaved in global
+time), the cache-filter front end and trace synthesis — on both engines
 and asserts each kernel keeps its advantage:
 
 * results must be bit-identical (cheap smoke on top of the exhaustive
@@ -9,7 +10,7 @@ and asserts each kernel keeps its advantage:
 * the speedup must not regress more than 15% against the committed
   baselines in ``hotpath_baseline.json`` / ``filter_baseline.json``
   (and never below the floors the fast paths were built to clear:
-  5x for replay, 4x for filtering).
+  5x for replay, single-core or interleaved, 4x for filtering).
 
 The timed region covers ``InOrderWindowCore`` construction *plus* the
 full replay — episode segmentation happens at construction on the fast
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cpu.core import InOrderWindowCore
+from repro.cpu.core import InOrderWindowCore, replay_interleaved
 from repro.cpu.hierarchy import CacheHierarchy
 from repro.moca.allocation import HomogeneousPolicy, plan_placement
 from repro.sim.config import ALL_SYSTEMS
@@ -44,11 +45,13 @@ from repro.sim.single import filtered_stream
 from repro.trace.builder import TraceBuilder
 from repro.util.rng import stream
 from repro.workloads.inputs import REF, app_layout, build_app_trace
+from repro.workloads.mixes import mix
 from repro.workloads.spec import app
 
 HERE = Path(__file__).parent
 BASELINE_PATH = HERE / "hotpath_baseline.json"
 RESULT_PATH = HERE / "BENCH_hotpath.json"
+MIX_RESULT_PATH = HERE / "BENCH_hotpath_mix.json"
 FILTER_BASELINE_PATH = HERE / "filter_baseline.json"
 FILTER_RESULT_PATH = HERE / "BENCH_filter.json"
 SYNTHESIS_BASELINE_PATH = HERE / "synthesis_baseline.json"
@@ -119,6 +122,72 @@ def test_hotpath_speedup_holds():
         f"fast-path speedup regressed: measured {speedup:.2f}x, "
         f"floor {floor:.2f}x (baseline {baseline['speedup']}x - 15%); "
         f"see {RESULT_PATH}")
+
+
+MIX = "2L1B1N"
+MIX_ACCESSES = 30_000  # per core
+
+
+def _mix_once(fast: bool):
+    """One 4-core interleaved replay; returns (seconds, results, n_records).
+
+    The timed region is core construction, the interleave and each
+    core's finalization, as in ``repro.sim.multi``.
+    """
+    apps = mix(MIX).apps
+    streams = [filtered_stream(a, REF, MIX_ACCESSES)[0] for a in apps]
+    config = ALL_SYSTEMS[CONFIG]
+    memsys = config.build()
+    plan = plan_placement(streams, HomogeneousPolicy(),
+                          config.make_allocator(memsys),
+                          layouts=[app_layout(a, REF) for a in apps])
+    t0 = time.perf_counter()
+    cores = [InOrderWindowCore(s, plan.groups[i], plan.gaddrs[i],
+                               core_id=i, fast_path=fast)
+             for i, s in enumerate(streams)]
+    replay_interleaved(cores, memsys)
+    results = [c.run_to_completion(memsys).to_dict() for c in cores]
+    return (time.perf_counter() - t0, results,
+            sum(len(s) for s in streams))
+
+
+def test_multicore_speedup_holds():
+    """Kernel interleave vs reference heap loop on one 4-core mix."""
+    best: dict[bool, float] = {}
+    results: dict[bool, list] = {}
+    n_records = 0
+    for fast in (True, False):
+        times = []
+        for _ in range(REPEATS):
+            dt, results[fast], n_records = _mix_once(fast)
+            times.append(dt)
+        best[fast] = min(times)
+    assert results[True] == results[False]
+
+    speedup = best[False] / best[True]
+    doc = {
+        "mix": MIX,
+        "config": CONFIG,
+        "n_accesses": MIX_ACCESSES,
+        "n_records": n_records,
+        "repeats": REPEATS,
+        "ref_seconds": round(best[False], 4),
+        "fast_seconds": round(best[True], 4),
+        "ref_records_per_sec": round(n_records / best[False]),
+        "fast_records_per_sec": round(n_records / best[True]),
+        "speedup": round(speedup, 2),
+    }
+    MIX_RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"\nhotpath mix: ref {doc['ref_records_per_sec']} rec/s, "
+          f"fast {doc['fast_records_per_sec']} rec/s, "
+          f"speedup {doc['speedup']}x")
+
+    baseline = json.loads(BASELINE_PATH.read_text())["multicore"]
+    floor = max(5.0, 0.85 * baseline["speedup"])
+    assert speedup >= floor, (
+        f"multicore fast-path speedup regressed: measured {speedup:.2f}x, "
+        f"floor {floor:.2f}x (baseline {baseline['speedup']}x - 15%); "
+        f"see {MIX_RESULT_PATH}")
 
 
 def test_filter_speedup_holds():

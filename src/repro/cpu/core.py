@@ -20,6 +20,7 @@ full memory latency on every miss and wants RLDRAM.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -223,7 +224,8 @@ def _sums_by_first_occurrence(objs: np.ndarray,
 
 
 class InOrderWindowCore:
-    """Steppable per-core replay state (multicore drivers interleave cores).
+    """Steppable per-core replay state (:func:`replay_interleaved` drives
+    several of them on one memory system).
 
     Two interchangeable execution engines sit behind the same stepping
     interface:
@@ -412,15 +414,18 @@ class InOrderWindowCore:
 
     def _run_fast(self, memsys: MemorySystem, stop: int) -> int:
         """Run episodes up to ``stop`` in the compiled kernel."""
-        k = self._f_ep
-        self._cycle = self._tables(memsys).run(k, stop)
+        self._cycle = self._tables(memsys).run(self._f_ep, stop)
+        self._advance_fast(stop)
+        return self._cycle
+
+    def _advance_fast(self, stop: int) -> None:
+        """Note that the kernel replayed episodes up to ``stop``."""
         self._f_ep = stop
         if stop >= self._f_nep:
             self._idx = self._n
             self._finalize_fast()
         else:
             self._idx = int(self._f_ep_start[stop])
-        return self._cycle
 
     def _finalize_fast(self) -> None:
         """One vectorized accounting pass, bit-equal to the reference loop.
@@ -585,3 +590,61 @@ class InOrderWindowCore:
         OBS.add(f"{prefix}.load_misses", r.n_load_misses)
         OBS.add(f"{prefix}.stall_cycles", r.load_stall_cycles)
         OBS.add(f"{prefix}.mem_access_cycles", r.mem_access_cycles)
+
+
+def replay_interleaved(cores: list[InOrderWindowCore],
+                       memsys: MemorySystem) -> np.ndarray:
+    """Replay ``cores`` against one shared system in global time order.
+
+    The multicore replay loop: the core whose next episode issues
+    earliest always goes next, ties broken on the lowest index, so
+    requests from different cores contend for the same banks, buses and
+    queues.  When
+    every unfinished core is on the fast path the whole interleave runs
+    in one call of the compiled kernel
+    (:func:`repro.memctrl.batch.interleave`); otherwise the reference
+    heap loop steps the cores one episode at a time.  Cores whose
+    streams end finalize in the order they finish, on both engines.
+    Each core still needs :meth:`~InOrderWindowCore.run_to_completion`
+    afterwards for its result (and its compute tail, if its stream is
+    empty).
+
+    Returns the core index of every episode, in the order they ran.
+    """
+    live = [i for i, c in enumerate(cores) if not c.finished]
+    engines = {cores[i].fast_path for i in live}
+    if len(engines) > 1:
+        raise ValueError("interleaved cores must share one replay engine")
+    if engines == {True}:
+        return _interleave_fast(cores, live, memsys)
+    return _interleave_ref(cores, live, memsys)
+
+
+def _interleave_fast(cores, live, memsys) -> np.ndarray:
+    from repro.memctrl.batch import interleave
+
+    run = [cores[i] for i in live]
+    tables = [c._tables(memsys) for c in run]
+    order, finished = interleave(tables, [c._f_ep for c in run],
+                                 [c._f_nep for c in run])
+    for j in finished.tolist():
+        core = run[j]
+        core._cycle = tables[j].cycle
+        core._advance_fast(core._f_nep)
+    if len(live) < len(cores):
+        order = np.asarray(live, dtype=np.int64)[order]
+    return order
+
+
+def _interleave_ref(cores, live, memsys) -> np.ndarray:
+    heap = [(cores[i].peek_next_issue(), i) for i in live]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        core = cores[i]
+        core.run_episode(memsys)
+        if not core.finished:
+            heapq.heappush(heap, (core.peek_next_issue(), i))
+    return np.asarray(order, dtype=np.int64)

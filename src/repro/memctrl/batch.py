@@ -11,6 +11,8 @@ decodes them once, vectorized, into ``int64`` columns, and the episode
 loop itself — issue, scheduler order, refresh, tFAW, bank and bus
 arithmetic, the core's cycle update — runs in one small C function
 (``replay_kernel.c``, beside this file) called through :mod:`ctypes`.
+A second entry point, :func:`interleave`, runs the multicore global-time
+interleave over several cores' tables in the same call.
 
 Bit-identity contract (pinned by ``tests/test_parity.py``):
 
@@ -32,7 +34,12 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   finishes.  Pure counters (module/controller totals, latency
   histograms, OBS ``mem.*``/``memsys.*``) are deferred to
   :meth:`ReplayTables.flush_stats` at end of replay; nothing reads them
-  mid-replay, so the deferral is observation-equivalent.
+  mid-replay, so the deferral is observation-equivalent.  The one
+  order-sensitive observation, each channel's ``queue_occupancy`` gauge
+  (the size of the last batch the channel served), is resolved with
+  global steps: every episode takes one from a counter shared by all
+  cores on the system, and the kernel keeps, per core and channel, the
+  step of the core's last episode on that channel.
 
 Building: the kernel compiles on first use with ``cc -O2 -shared -fPIC``
 and is cached as ``replay_kernel-<tag>.so`` in the ``__pycache__``
@@ -47,6 +54,7 @@ warns once and the core falls back to the reference interpreter.
 
 from __future__ import annotations
 
+import _ctypes
 import atexit
 import ctypes
 import hashlib
@@ -57,6 +65,7 @@ import subprocess
 import tempfile
 import weakref
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,9 +89,17 @@ class _Ctx(ctypes.Structure):
         "r_ctrl", "r_bank", "r_sub", "r_row", "r_klass", "r_write",
         "r_gaddr", "r_off",
         "ep_start", "headgap",
-        "ep_issue0", "done", "queue", "service", "hit", "bb",
+        "ep_issue0", "ch_step", "clock",
+        "done", "queue", "service", "hit", "bb",
         "scratch")] + [("cycle", ctypes.c_int64),
                        ("backlog", ctypes.c_int64)]
+
+
+class Kernel(NamedTuple):
+    """The kernel's entry points, typed for :mod:`ctypes` calls."""
+
+    run: Callable
+    interleave: Callable
 
 
 class KernelUnavailable(RuntimeError):
@@ -119,24 +136,36 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _open(path: Path):
-    """The loaded kernel function, or ``None`` if ``path`` is unusable.
+def _open(path: Path) -> Kernel | None:
+    """The loaded kernel, or ``None`` if ``path`` is unusable.
 
     The library must match the checksum written after it: ``dlopen`` of
     a torn or truncated file can crash the process instead of failing.
+    It must also export every entry point of :class:`Kernel`: a library
+    built from an older source is rebuilt, not half-used.  A rejected
+    library is unloaded again, or ``dlopen`` of the rebuilt file at the
+    same path would hand back the stale handle.
     """
     try:
         if _checksum_path(path).read_text() != _sha256(path):
             return None
         lib = ctypes.CDLL(str(path))
-        if lib.replay_abi() != ctypes.sizeof(_Ctx):
-            return None
-        fn = lib.replay_run
-    except (OSError, AttributeError):
+    except OSError:
         return None
-    fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
-    fn.restype = ctypes.c_int64
-    return fn
+    try:
+        usable = lib.replay_abi() == ctypes.sizeof(_Ctx)
+        run, inter = lib.replay_run, lib.replay_interleave
+    except AttributeError:
+        usable = False
+    if not usable:
+        _ctypes.dlclose(lib._handle)
+        return None
+    run.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
+    run.restype = ctypes.c_int64
+    inter.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    inter.restype = ctypes.c_int64
+    return Kernel(run, inter)
 
 
 def _replace_atomically(directory: Path, path: Path, write) -> None:
@@ -200,12 +229,12 @@ def load_kernel():
     raise KernelUnavailable("built library could not be loaded")
 
 
-#: ``None`` = not tried yet, ``False`` = unavailable, else the function.
+#: ``None`` = not tried yet, ``False`` = unavailable, else the kernel.
 _KERNEL = None
 
 
-def replay_kernel():
-    """The process's replay kernel function, or ``None`` (warned once)."""
+def replay_kernel() -> Kernel | None:
+    """The process's replay kernel, or ``None`` (warned once)."""
     global _KERNEL
     if _KERNEL is None:
         try:
@@ -250,6 +279,10 @@ class DeviceState:
     def __init__(self, memsys: MemorySystem):
         self.controllers, _, bank0, _ = _layout(memsys)
         self.active = 0
+        #: Global episode step counter, advanced by the kernel.
+        self.clock = np.zeros(1, dtype=np.int64)
+        #: Step of the episode behind each channel's occupancy gauge.
+        self.gauge_step = np.full(len(self.controllers), -1, dtype=np.int64)
         ctrl = np.zeros((len(self.controllers), C_FIELDS), dtype=np.int64)
         for ci, c in enumerate(self.controllers):
             if c.scheduler is frfcfs_order:
@@ -427,6 +460,7 @@ class ReplayTables:
         n = len(gaddrs)
         self.ep_start = ep_start
         self.ep_issue0 = np.zeros(len(headgap), dtype=np.int64)
+        self.ch_step = np.full(len(self.dev.controllers), -1, dtype=np.int64)
         self.done = np.zeros(n, dtype=np.int64)
         self.queue = np.zeros(n, dtype=np.int64)
         self.service = np.zeros(n, dtype=np.int64)
@@ -438,7 +472,8 @@ class ReplayTables:
             r_ctrl=self.ctrl, r_bank=bank, r_sub=sub, r_row=row,
             r_klass=self.klass, r_write=self.write, r_gaddr=gaddr,
             r_off=off, ep_start=ep_start, headgap=headgap,
-            ep_issue0=self.ep_issue0, done=self.done, queue=self.queue,
+            ep_issue0=self.ep_issue0, ch_step=self.ch_step,
+            clock=self.dev.clock, done=self.done, queue=self.queue,
             service=self.service, hit=self.hit, bb=self.bb,
             scratch=np.zeros(3 * longest, dtype=np.int64))
         ctx = _Ctx(cycle=cycle, backlog=backlog)
@@ -449,12 +484,17 @@ class ReplayTables:
             setattr(ctx, name, arr.ctypes.data)
         self._arrays = arrays  # the context points into them
         self._ctx = ctx
-        self._kernel = replay_kernel()
+        self._run = replay_kernel().run
         self._ptr = ctypes.addressof(ctx)
+
+    @property
+    def cycle(self) -> int:
+        """The core's cycle after the last episode replayed."""
+        return self._ctx.cycle
 
     def run(self, k0: int, k1: int) -> int:
         """Replay episodes ``[k0, k1)``; returns the core's new cycle."""
-        return self._kernel(self._ptr, k0, k1)
+        return self._run(self._ptr, k0, k1)
 
     # ---- end of replay ----------------------------------------------------------
 
@@ -514,12 +554,17 @@ class ReplayTables:
                 OBS.add(f"mem.{name}.requests", cnt)
                 OBS.add(f"mem.{name}.row_hits", n_hits)
                 OBS.add(f"mem.{name}.queue_cycles", queue_sum)
-                # The last batch this channel served: its episode's
-                # records on this channel.
-                ep = np.searchsorted(self.ep_start, sel[-1], side="right") - 1
-                lo, hi = self.ep_start[ep], self.ep_start[ep + 1]
-                OBS.gauge(f"mem.{name}.queue_occupancy",
-                          int((ctrl[lo:hi] == ci).sum()))
+                # The gauge holds the channel's last batch: this core's
+                # last episode on it, unless another core on the system
+                # served the channel at a later global step.
+                step = int(self.ch_step[ci])
+                if step > self.dev.gauge_step[ci]:
+                    self.dev.gauge_step[ci] = step
+                    ep = np.searchsorted(self.ep_start, sel[-1],
+                                         side="right") - 1
+                    lo, hi = self.ep_start[ep], self.ep_start[ep + 1]
+                    OBS.gauge(f"mem.{name}.queue_occupancy",
+                              int((ctrl[lo:hi] == ci).sum()))
         if obs:
             OBS.add("memsys.batches", len(self.ep_issue0))
             OBS.add("memsys.requests", len(done))
@@ -528,3 +573,25 @@ class ReplayTables:
             for g, cnt in enumerate(counts.tolist()):
                 if cnt:
                     OBS.add(f"memsys.group.{names[g]}.requests", cnt)
+
+
+def interleave(tables: list[ReplayTables], ep: list[int],
+               nep: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Replay several cores' episodes in global issue order, in one call.
+
+    ``tables[i]`` is core ``i``'s compiled replay (all on one memory
+    system), at episode ``ep[i]`` of ``nep[i]``.  Each step runs the
+    next episode of the unfinished core that issues earliest, ties to
+    the lowest index.  Returns ``(order, finished)``: the core index of
+    every step and the cores in the order they finished.
+    """
+    n = len(tables)
+    ptrs = (ctypes.c_void_p * n)(*[tb._ptr for tb in tables])
+    ep = np.array(ep, dtype=np.int64)
+    nep = np.array(nep, dtype=np.int64)
+    todo = np.maximum(nep - ep, 0)
+    order = np.empty(int(todo.sum()), dtype=np.int64)
+    finished = np.empty(int((todo > 0).sum()), dtype=np.int64)
+    replay_kernel().interleave(ptrs, n, ep.ctypes.data, nep.ctypes.data,
+                               order.ctypes.data, finished.ctypes.data)
+    return order, finished

@@ -1,12 +1,15 @@
-/* DRAM replay kernel: MLP episodes of one core against shared devices.
+/* DRAM replay kernel: MLP episodes of cores against shared devices.
  *
  * The compiled engine behind InOrderWindowCore's fast path
- * (repro/memctrl/batch.py builds and loads it through ctypes).  It is
+ * (repro/memctrl/batch.py builds and loads it through ctypes):
+ * replay_run replays a range of one core's episodes, replay_interleave
+ * runs several cores' episodes in global issue order.  It is
  * bit-identical to the reference interpreter -- InOrderWindowCore's
  * per-record loop driving MemorySystem.service_batch, the schedulers in
  * scheduler.py, MemoryModule.access and BankState.service -- and
  * tests/test_parity.py pins that equivalence.  Any change to the device
- * arithmetic in those Python methods must be mirrored here.
+ * arithmetic in those Python methods, or to the heap interleave in
+ * repro.cpu.core.replay_interleaved, must be mirrored here.
  *
  * All state is int64.  Device state is packed by batch.DeviceState into
  * three row-major tables shared by every core replaying on one memory
@@ -48,8 +51,10 @@ typedef struct {
         *r_gaddr, *r_off;
     /* per-episode inputs (ep_start has one extra, final entry) */
     const int64_t *ep_start, *headgap;
-    /* outputs */
-    int64_t *ep_issue0;
+    /* outputs; every episode takes a global step from the counter
+     * *clock shared by all cores on the system, and ch_step[c] is the
+     * step of this core's last episode with a record on controller c */
+    int64_t *ep_issue0, *ch_step, *clock;
     int64_t *done, *queue, *service, *hit, *bb;
     /* 3 x the longest episode: order, row-hit snapshot, merge buffer */
     int64_t *scratch;
@@ -197,8 +202,10 @@ int64_t replay_run(replay_ctx *x, int64_t k0, int64_t k1)
         int64_t s = x->ep_start[k], e = x->ep_start[k + 1], n = e - s;
         int64_t issue0 = cycle + x->headgap[k];
         int64_t lmax = NEG, dmax = NEG;
+        int64_t step = (*x->clock)++;
         x->ep_issue0[k] = issue0;
         if (n == 1) {
+            x->ch_step[x->r_ctrl[s]] = step;
             dmax = serve(x, s, issue0 + x->r_off[s]);
             if (x->r_klass[s] == 0)
                 lmax = dmax;
@@ -214,6 +221,7 @@ int64_t replay_run(replay_ctx *x, int64_t k0, int64_t k1)
             order(x, hit, s, idx, tmp, n);
             for (int64_t i = 0; i < n; i++) {
                 int64_t j = idx[i];
+                x->ch_step[x->r_ctrl[j]] = step;
                 int64_t done = serve(x, j, issue0 + x->r_off[j]);
                 dmax = max64(dmax, done);
                 if (x->r_klass[j] == 0)
@@ -228,4 +236,38 @@ int64_t replay_run(replay_ctx *x, int64_t k0, int64_t k1)
     }
     x->cycle = cycle;
     return cycle;
+}
+
+/* Global-time interleave of n cores sharing one memory system.
+ *
+ * Core i is at episode ep[i] of nep[i].  Each step runs one episode of
+ * the unfinished core whose next episode issues earliest, ties going to
+ * the lowest index -- the (issue, index) order of the reference heap.
+ * Writes the core of every step to order[] and the cores in the order
+ * they finish to finished[]; advances ep[] and returns the step count.
+ * A linear scan per step: n is the handful of cores of one mix.
+ */
+int64_t replay_interleave(replay_ctx *const *x, int64_t n, int64_t *ep,
+                          const int64_t *nep, int64_t *order,
+                          int64_t *finished)
+{
+    int64_t steps = 0, nfin = 0;
+    for (;;) {
+        int64_t best = -1, best_issue = 0;
+        for (int64_t i = 0; i < n; i++) {
+            if (ep[i] >= nep[i])
+                continue;
+            int64_t issue = x[i]->cycle + x[i]->headgap[ep[i]];
+            if (best < 0 || issue < best_issue) {
+                best = i;
+                best_issue = issue;
+            }
+        }
+        if (best < 0)
+            return steps;
+        replay_run(x[best], ep[best], ep[best] + 1);
+        order[steps++] = best;
+        if (++ep[best] == nep[best])
+            finished[nfin++] = best;
+    }
 }

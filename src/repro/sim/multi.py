@@ -2,16 +2,15 @@
 
 Four cores run one application each against a shared memory system.  The
 driver interleaves the cores' MLP episodes in global time order (the core
-with the earliest next issue goes first), so requests from different
+with the earliest next issue goes first; see
+:func:`repro.cpu.core.replay_interleaved`), so requests from different
 cores contend for the same banks, buses and queues — the contention that
 separates the memory systems in the paper's multicore figures.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from repro.cpu.core import CoreParams, InOrderWindowCore
+from repro.cpu.core import CoreParams, InOrderWindowCore, replay_interleaved
 from repro.faults.inject import apply_system_faults, arm_allocator
 from repro.faults.plan import FaultPlan
 from repro.moca.classify import Thresholds
@@ -71,19 +70,8 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
             for i, s in enumerate(streams)
         ]
 
-        # Global-time interleave: always advance the core whose next episode
-        # issues earliest.  Ties break on core id for determinism.
         with OBS.span("core_replay", mix=workload.name):
-            heap = [(c.peek_next_issue(), i) for i, c in enumerate(cores)
-                    if not c.finished]
-            heapq.heapify(heap)
-            while heap:
-                _, i = heapq.heappop(heap)
-                core = cores[i]
-                core.run_episode(memsys)
-                if not core.finished:
-                    heapq.heappush(heap, (core.peek_next_issue(), i))
-
+            replay_interleaved(cores, memsys)
             # finalize tails (also publishes per-core obs counters)
             results = [c.run_to_completion(memsys) for c in cores]
         meta = run_meta(config=config, policy=label,

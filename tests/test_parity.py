@@ -24,14 +24,15 @@ This file pins that contract three ways:
 
 import dataclasses
 import hashlib
-import heapq
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.core import CoreParams, InOrderWindowCore
+from repro.cpu import core as core_mod
+from repro.cpu.core import CoreParams, InOrderWindowCore, replay_interleaved
 from repro.cpu.hierarchy import (
     KIND_LOAD,
     KIND_PREFETCH,
@@ -42,6 +43,7 @@ from repro.cpu.hierarchy import (
 from repro.memctrl.scheduler import fcfs_order
 from repro.memctrl.system import ChannelGroup, MemorySystem
 from repro.memdev.presets import DDR3, HBM, LPDDR2, RLDRAM3
+from repro.obs.registry import OBS
 from repro.sim.spec import RunSpec, run
 from repro.util.units import MIB
 
@@ -147,6 +149,26 @@ def _assert_parity(stream, groups, gaddrs, params, recipe, label=""):
     assert _memsys_doc(mf) == _memsys_doc(mr), f"memsys diverged {label}"
 
 
+def _four_core_reps():
+    """The seeded 4-core cases: (rep, recipe, params, traces)."""
+    rng = np.random.default_rng(0xBEEF)
+    for rep in range(150):
+        recipe, caps = _RECIPES[rep % len(_RECIPES)]
+        params = _PARAMS[rep % len(_PARAMS)]
+        yield rep, recipe, params, [_random_trace(rng, caps)
+                                    for _ in range(4)]
+
+
+def _interleave(traces, params, recipe, fast):
+    """Replay ``traces`` as interleaved cores on one fresh system."""
+    memsys = recipe()
+    cores = [InOrderWindowCore(s, g, a, params, core_id=i, fast_path=fast)
+             for i, (s, g, a) in enumerate(traces)]
+    order = replay_interleaved(cores, memsys).tolist()
+    results = [c.run_to_completion(memsys) for c in cores]
+    return [r.to_dict() for r in results], order, _memsys_doc(memsys)
+
+
 # ---- the bulk sweep ---------------------------------------------------------
 
 
@@ -162,36 +184,13 @@ class TestBulkParity:
 
     def test_multicore_heap_interleave(self):
         """4 cores sharing one system, advanced in global issue order —
-        the exact loop ``repro.sim.multi`` runs.  Interleaving makes the
-        cores' episodes contend for the same banks, so parity here pins
-        that ``peek_next_issue`` and all shared live state (bank timing,
+        the exact interleave ``repro.sim.multi`` runs.  Interleaving makes
+        the cores' episodes contend for the same banks, so parity here
+        pins that the issue order and all shared live state (bank timing,
         bus direction, refresh schedule) agree between paths."""
-        rng = np.random.default_rng(0xBEEF)
-        for rep in range(150):
-            recipe, caps = _RECIPES[rep % len(_RECIPES)]
-            params = _PARAMS[rep % len(_PARAMS)]
-            traces = [_random_trace(rng, caps) for _ in range(4)]
-
-            outcome = []
-            for fast in (True, False):
-                memsys = recipe()
-                cores = [InOrderWindowCore(s, g, a, params, core_id=i,
-                                           fast_path=fast)
-                         for i, (s, g, a) in enumerate(traces)]
-                heap = [(c.peek_next_issue(), i)
-                        for i, c in enumerate(cores) if not c.finished]
-                heapq.heapify(heap)
-                order = []
-                while heap:
-                    _, i = heapq.heappop(heap)
-                    order.append(i)
-                    cores[i].run_episode(memsys)
-                    if not cores[i].finished:
-                        heapq.heappush(heap,
-                                       (cores[i].peek_next_issue(), i))
-                results = [c.run_to_completion(memsys) for c in cores]
-                outcome.append(([r.to_dict() for r in results], order,
-                                _memsys_doc(memsys)))
+        for rep, recipe, params, traces in _four_core_reps():
+            outcome = [_interleave(traces, params, recipe, fast)
+                       for fast in (True, False)]
             assert outcome[0] == outcome[1], f"multicore rep {rep}"
 
     def test_empty_stream(self):
@@ -207,6 +206,105 @@ class TestBulkParity:
         for params in _PARAMS:
             _assert_parity(stream, empty.astype(np.int32), empty, params,
                            _RECIPES[0][0], label="(empty)")
+
+
+# ---- the interleave order ---------------------------------------------------
+
+
+def _loads(inst, total=None):
+    """A stream of independent demand loads at instruction counts ``inst``."""
+    n = len(inst)
+    return MissStream(
+        inst=np.asarray(inst, dtype=np.int64),
+        vline=np.arange(n, dtype=np.int64) * 64 * 997,
+        obj_id=np.zeros(n, dtype=np.int32),
+        dep=np.zeros(n, dtype=bool),
+        kind=np.full(n, KIND_LOAD, dtype=np.int8),
+        total_instructions=total or (int(inst[-1]) + 100 if n else 100),
+    )
+
+
+def _on_one_group(stream):
+    return (stream, np.zeros(len(stream), dtype=np.int32),
+            stream.vline % (8 * MIB))
+
+
+class TestInterleaveOrder:
+    """The kernel's ``replay_interleave`` steps cores in exactly the
+    reference heap's ``(next issue, core index)`` order."""
+
+    @pytest.fixture(autouse=True)
+    def _kernel_only(self, monkeypatch):
+        """Fast runs must not fall back to the reference heap loop."""
+        ref_loop = core_mod._interleave_ref
+
+        def guarded(cores, live, memsys):
+            assert not any(cores[i].fast_path for i in live)
+            return ref_loop(cores, live, memsys)
+
+        monkeypatch.setattr(core_mod, "_interleave_ref", guarded)
+
+    def _both(self, traces, params=CoreParams(), recipe=_RECIPES[0][0]):
+        outcome = []
+        for fast in (True, False):
+            OBS.reset().enable()
+            try:
+                run = _interleave(traces, params, recipe, fast)
+                snap = OBS.snapshot()
+            finally:
+                OBS.reset().disable()
+            # Model observations only (the kernel also counts its decode
+            # cache), gauges included: each channel's occupancy gauge is
+            # the size of the globally last batch on it.
+            keep = ("mem.", "memsys.", "core")
+            outcome.append((run, {
+                kind: {k: v for k, v in snap[kind].items()
+                       if k.startswith(keep)}
+                for kind in ("counters", "gauges")}))
+        assert outcome[0] == outcome[1]
+        results, order, _ = outcome[0][0]
+        assert len(order) == sum(r["n_episodes"] for r in results)
+        for i, r in enumerate(results):
+            assert order.count(i) == r["n_episodes"]
+        return order
+
+    def test_random_four_core_order(self):
+        for rep, recipe, params, traces in _four_core_reps():
+            self._both(traces, params, recipe)
+
+    def test_empty_stream_never_steps(self):
+        traces = [_on_one_group(_loads([10, 500, 900])),
+                  _on_one_group(_loads([], total=777)),
+                  _on_one_group(_loads([20, 40]))]
+        order = self._both(traces)
+        assert 1 not in order
+
+    def test_single_core(self):
+        order = self._both([_on_one_group(_loads([10, 500, 900, 1300]))])
+        assert order == [0, 0, 0, 0]
+
+    def test_tied_issues_go_to_the_lowest_index(self):
+        # Identical load-only cores all issue their first episode at
+        # cycle 10; each load then holds its core past that cycle.
+        traces = [_on_one_group(_loads([10, 400, 800])) for _ in range(4)]
+        order = self._both(traces)
+        assert order[:4] == [0, 1, 2, 3]
+
+    def test_core_finishing_on_its_first_episode(self):
+        traces = [_on_one_group(_loads([50, 300, 700])),
+                  _on_one_group(_loads([5])),
+                  _on_one_group(_loads([60, 90]))]
+        order = self._both(traces)
+        assert order[0] == 1 and order.count(1) == 1
+
+    def test_mixed_engines_rejected(self):
+        # Kernel cores keep device state packed apart from the Python
+        # objects a reference core would drive, so they cannot share.
+        memsys = _RECIPES[0][0]()
+        cores = [InOrderWindowCore(*_on_one_group(_loads([10, 500])),
+                                   fast_path=fast) for fast in (True, False)]
+        with pytest.raises(ValueError, match="one replay engine"):
+            replay_interleaved(cores, memsys)
 
 
 # ---- hypothesis: same contract, shrinkable ---------------------------------

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.cpu import core as core_mod
 from repro.cpu.core import InOrderWindowCore
 from repro.memctrl import batch
 from repro.moca.allocation import HomogeneousPolicy, plan_placement
@@ -79,6 +80,22 @@ class TestLibraryCache:
         assert proc.returncode == 0, proc.stderr
         assert lib.stat().st_size == size
 
+    def test_library_without_interleave_is_rebuilt(self, tmp_path,
+                                                    monkeypatch):
+        """A checksummed library built from a source that predates
+        ``replay_interleave`` is rebuilt, never loaded half-usable."""
+        _use_dirs(monkeypatch, tmp_path)
+        lib = tmp_path / batch._library_name()
+        proc = subprocess.run(
+            [batch._compiler(), *batch.CFLAGS,
+             "-Dreplay_interleave=replay_interleave_absent", "-o", str(lib),
+             str(batch.SOURCE)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        batch._checksum_path(lib).write_text(batch._sha256(lib))
+        assert batch._open(lib) is None
+        assert batch.load_kernel() is not None
+        assert batch._open(lib) is not None
+
     def test_unwritable_cache_dir_falls_back(self, tmp_path, monkeypatch):
         blocked = tmp_path / "ro"
         blocked.mkdir()
@@ -98,12 +115,28 @@ class TestLibraryCache:
         assert not (blocked / batch._library_name()).exists()
 
 
+def _mix_rows(fast=None):
+    """A 4-core mix's metrics (minus timestamped meta) and fast_path."""
+    from repro.sim.multi import _run_multi
+
+    metrics = _run_multi("2L1B1N", ALL_SYSTEMS["Heter-config1"], "homogen",
+                         n_accesses=1500, fast_path=fast).to_dict()
+    return metrics.pop("meta")["fast_path"], metrics
+
+
 class TestFallback:
     def test_no_compiler_warns_once_and_uses_reference(
             self, tmp_path, monkeypatch, capsys):
+        kernel_mix = _mix_rows()
+        assert kernel_mix[0] is True
         _use_dirs(monkeypatch, tmp_path)
         monkeypatch.setattr(batch, "_compiler", lambda: None)
         monkeypatch.setattr(batch, "_KERNEL", None)
+        heap_loops = []
+        ref_loop = core_mod._interleave_ref
+        monkeypatch.setattr(
+            core_mod, "_interleave_ref",
+            lambda *args: heap_loops.append(1) or ref_loop(*args))
         OBS.reset()
         capsys.readouterr()
         outcomes = []
@@ -114,6 +147,10 @@ class TestFallback:
         _, ref, ref_memsys = _replay("mcf", "Heter-config1", 3000, False)
         assert outcomes[0] == outcomes[1] == (ref.to_dict(),
                                               _memsys_doc(ref_memsys))
+        # A 4-core mix asking for the fast path runs the reference heap
+        # loop and gives the kernel run's rows.
+        assert _mix_rows() == (False, kernel_mix[1])
+        assert heap_loops == [1]
         err = capsys.readouterr().err
         assert err.count("replay kernel unavailable") == 1
         assert list(OBS._warned) == ["replay-kernel"]
@@ -150,9 +187,10 @@ class TestObsCounters:
                                       fast_path=fast)
 
         fast, ref = _obs_of(run(True)), _obs_of(run(False))
-        # Gauges hold the latest batch, which interleaving reorders.
-        assert fast["counters"] == ref["counters"]
-        assert fast["gauges"].keys() == ref["gauges"].keys()
+        # Gauges included: each channel's occupancy gauge comes from the
+        # globally last episode on it, whichever core ran it.
+        assert any(k.endswith(".queue_occupancy") for k in fast["gauges"])
+        assert fast == ref
 
 
 def test_device_state_is_written_back():
