@@ -38,6 +38,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 from repro.cpu.hierarchy import CacheHierarchy  # noqa: E402
 from repro.obs.telemetry import peak_rss_kb  # noqa: E402
 from repro.trace import chunked  # noqa: E402
+from repro.trace.io import COLUMN_DTYPES  # noqa: E402
 from repro.workloads.inputs import build_app_trace_chunked  # noqa: E402
 
 RESULT_PATH = HERE / "BENCH_trace_scale.json"
@@ -75,8 +76,9 @@ def main(argv: list[str] | None = None) -> int:
         t_filter = time.perf_counter() - t0
 
         peak_kb = peak_rss_kb()
-        shard_bytes = sum(p.stat().st_size
-                          for p in Path(trace.directory).glob("*.npz"))
+        shard_bytes = sum(trace.column_path(i, name).stat().st_size
+                          for i in range(trace.n_shards)
+                          for name in COLUMN_DTYPES)
     finally:
         chunked.reset()
         shutil.rmtree(tmp, ignore_errors=True)
@@ -97,6 +99,11 @@ def main(argv: list[str] | None = None) -> int:
     RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc, indent=2))
 
+    if trace.n_shards and not shard_bytes:
+        print(f"FAIL: {trace.n_shards} shards but 0 shard bytes on disk — "
+              f"the byte count no longer matches the shard layout",
+              file=sys.stderr)
+        return 1
     if peak_kb > args.rss_ceiling_mb * 1024:
         print(f"FAIL: peak RSS {doc['peak_rss_mb']} MB exceeds the "
               f"{args.rss_ceiling_mb} MB ceiling — something is "

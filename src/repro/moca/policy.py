@@ -441,7 +441,7 @@ def policy_names() -> tuple[str, ...]:
 
 
 def stock_policy_names() -> tuple[str, ...]:
-    """The pre-API trio (the deprecated ``POLICIES`` tuple)."""
+    """The pre-API trio: ``homogen``, ``heter-app`` and ``moca``."""
     return tuple(n for n, info in _REGISTRY.items() if info.stock)
 
 

@@ -85,19 +85,3 @@ def _run_multi(workload: WorkloadMix | str, config: SystemConfig,
         meta["accesses"] = n_accesses * len(workload.apps)
         return collect_metrics(config.name, label, workload.name,
                                results, memsys, meta=meta)
-
-
-_REMOVED = {
-    "run_multi": "run_multi() was removed (deprecated since the RunSpec "
-                 "API landed); build a spec and call repro.sim.run — "
-                 "run(RunSpec('2L1B1N', 'Heter-config1', 'moca', 60_000)). "
-                 "Ad-hoc SystemConfig objects can be registered in "
-                 "repro.sim.config.ALL_SYSTEMS to become addressable by "
-                 "name (see docs/extending.md)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(_REMOVED[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

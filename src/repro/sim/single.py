@@ -276,19 +276,3 @@ def _run_single(app_name: str, config: SystemConfig,
             meta["trace_chunk_accesses"] = trace_chunk_accesses
         return collect_metrics(config.name, label, app_name,
                                [result], memsys, meta=meta)
-
-
-#: Removed entry points → migration hint.  ``__getattr__`` turns an
-#: attribute access into AttributeError and a ``from``-import into
-#: ImportError, both carrying the replacement.
-_REMOVED = {
-    "run_single": "run_single() was removed (deprecated since the RunSpec "
-                  "API landed); build a spec and call repro.sim.run — "
-                  "run(RunSpec('mcf', 'Heter-config1', 'moca', 120_000))",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(_REMOVED[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,7 @@ classification thresholds, and the root seed.  It is frozen and hashable,
 so it serves three roles at once:
 
 * the **public API**: ``repro.sim.run(spec)`` is the single entry point
-  for both single-core and multicore runs (the ``run_single``/
-  ``run_multi`` aliases were removed after their deprecation cycle);
+  for both single-core and multicore runs;
 * the **scheduling unit** of the sweep engine
   (:mod:`repro.experiments.engine`), which fans individual specs out
   across worker processes instead of whole per-workload rows;
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 
 from repro.faults.plan import FaultPlan
@@ -34,7 +32,6 @@ from repro.moca.policy import (
     PolicySpec,
     policy_canonical,
     policy_info,
-    stock_policy_names,
     thresholds_to_dict,
 )
 from repro.service.spec import OnlineSpec
@@ -51,19 +48,6 @@ __all__ = ["RunSpec", "run"]
 #: Bumped whenever the canonical form (and therefore every cache key)
 #: changes shape.
 SPEC_SCHEMA = 1
-
-
-def __getattr__(name: str):
-    # Deprecated re-export, kept for one release: the policy registry
-    # (repro.moca.policy) is the single source of truth now.
-    if name == "POLICIES":
-        warnings.warn(
-            "repro.sim.spec.POLICIES is deprecated; use "
-            "repro.moca.policy.policy_names() (all registered policies) "
-            "or stock_policy_names() (the original trio)",
-            DeprecationWarning, stacklevel=2)
-        return stock_policy_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

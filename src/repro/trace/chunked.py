@@ -11,55 +11,50 @@ cache *filtering*
 bounded RSS while producing byte-identical results to the monolithic
 path (pinned by ``tests/test_trace_chunked.py``).
 
-Store format v2 writes each shard as raw aligned ``.npy`` column files
-loaded with ``np.load(mmap_mode="r")`` — a window maps lazily off the
-page cache instead of decompressing into private memory, so concurrent
-readers of one entry share physical pages.  Legacy v1 entries
-(``numpy.savez_compressed`` shards) stay readable in place; the
-``shard_format`` manifest field tells the loader which shape an entry
-has, and the version field keeps genuinely unknown formats out.
+A chunked trace is one :class:`~repro.util.store.ColumnStore` entry
+(the :mod:`repro.sim.stream_store` economy applied one stage earlier
+in the pipeline), its columns named per shard::
 
-Store layout — one directory per trace, named by the SHA-256 of its
-canonical key document (the :mod:`repro.sim.stream_store` economy
-applied one stage earlier in the pipeline)::
-
-    <store>/<digest>/shard-00000.inst.npy   # one file per column (v2)
+    <store>/<digest>/shard-00000.inst.npy   # one file per column
     <store>/<digest>/shard-00000.vaddr.npy  # ... is_write/obj_id/dep
     <store>/<digest>/shard-00001.inst.npy
-    <store>/<digest>/manifest.json          # written last = complete
+    <store>/<digest>/meta.json              # shard rows, layout
 
-Robustness rules mirror the stream store: every file is written to a
-temp name and ``os.replace``d, the manifest is written only after all
-shards (a crashed build leaves no manifest, so the entry reads as
-absent), entries from other format versions are dropped silently, and
-a shard that fails to load warns via ``OBS``, deletes the whole entry,
-and raises :class:`CorruptTraceError` — callers rebuild and retry
+The resharder streams shards into the entry's temp directory and the
+meta follows once the last shard is known.  A window maps its shard
+lazily off the page cache, so concurrent readers of one entry share
+physical pages.  A shard that fails to load drops the whole entry
+through the shared corrupt path and raises :class:`CorruptTraceError`
+— callers rebuild and retry
 (:func:`repro.sim.single.filtered_stream_chunked` does exactly that).
 
-Module-level wiring follows the stream-store precedence: an explicit
-:func:`configure` call, else ``REPRO_TRACE_STORE_DIR``, else
-``<REPRO_CACHE_DIR>/traces``, else a process-lifetime temporary
-directory (chunked traces must live *somewhere* on disk — that is the
-point).
+Module-level wiring: an explicit :func:`configure` call, else
+``REPRO_TRACE_STORE_DIR``, else ``<REPRO_CACHE_DIR>/traces``, else a
+process-lifetime temporary directory (chunked traces must live
+*somewhere* on disk — that is the point).
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
-import json
 import os
 import shutil
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.obs.registry import OBS
 from repro.trace.events import AccessTrace, VirtualLayout
 from repro.trace.io import COLUMN_DTYPES, layout_from_doc, layout_to_doc
 from repro.util.rng import ROOT_SEED
+from repro.util.store import (
+    READ_ERRORS,
+    ColumnStore,
+    EntryWriter,
+    drop_corrupt,
+    key_digest,
+    load_columns,
+)
 
 __all__ = [
     "ENV_DIR",
@@ -75,17 +70,11 @@ __all__ = [
     "trace_key",
 ]
 
-#: On-disk entry format; entries from other versions are dropped —
-#: except v1 (npz shards), which stays readable in place.
-TRACE_STORE_VERSION = 2
-
-#: Versions :meth:`TraceStore.get` will serve.
-READABLE_VERSIONS = (1, TRACE_STORE_VERSION)
+#: On-disk entry format; entries from other versions are dropped.
+TRACE_STORE_VERSION = 3
 
 #: Environment selection (inherited by sweep worker processes).
 ENV_DIR = "REPRO_TRACE_STORE_DIR"
-
-MANIFEST_NAME = "manifest.json"
 
 
 class CorruptTraceError(RuntimeError):
@@ -114,13 +103,12 @@ def trace_key(app_name: str, input_name: str, n_accesses: int,
     }
 
 
-def _digest(key: dict) -> str:
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _shard(i: int) -> str:
+    return f"shard-{i:05d}."
 
 
 class ChunkedTrace:
-    """A trace stored as fixed-size column shards under one directory.
+    """A trace stored as fixed-size column shards in one entry.
 
     Construct via :meth:`TraceStore.get`, :func:`build_chunked`, or
     :func:`chunk_trace` — the constructor trusts its manifest.  The
@@ -138,11 +126,6 @@ class ChunkedTrace:
             raise ValueError(
                 f"shard rows sum to {sum(self.shard_rows)}, manifest "
                 f"says {self.n_accesses} accesses")
-        # v1 manifests predate the field and always hold npz shards.
-        self.shard_format = manifest.get("shard_format", "npz")
-        if self.shard_format not in ("npz", "npy"):
-            raise ValueError(
-                f"unknown shard format {self.shard_format!r}")
         self.layout = layout_from_doc(manifest["layout"])
 
     def __len__(self) -> int:
@@ -152,15 +135,8 @@ class ChunkedTrace:
     def n_shards(self) -> int:
         return len(self.shard_rows)
 
-    def shard_path(self, i: int) -> Path:
-        """A representative file of shard ``i`` (the whole npz in v1,
-        the ``inst`` column in v2) — damage it and the shard is gone."""
-        if self.shard_format == "npz":
-            return self.directory / f"shard-{i:05d}.npz"
-        return self.column_path(i, "inst")
-
     def column_path(self, i: int, name: str) -> Path:
-        return self.directory / f"shard-{i:05d}.{name}.npy"
+        return self.directory / f"{_shard(i)}{name}.npy"
 
     def windows(self):
         """Yield one :class:`AccessTrace` window per shard, in order.
@@ -172,42 +148,18 @@ class ChunkedTrace:
         :class:`CorruptTraceError` (rebuild + retry to recover).
         """
         for i in range(self.n_shards):
-            yield self._load_shard(i)
-
-    def _load_shard(self, i: int) -> AccessTrace:
-        path = self.shard_path(i)
-        try:
-            if self.shard_format == "npy":
-                # v2: map each column read-only; pages fault in lazily
-                # and are shared machine-wide through the page cache.
-                cols = {}
-                mapped = 0
-                for name in COLUMN_DTYPES:
-                    arr = np.load(self.column_path(i, name), mmap_mode="r")
-                    cols[name] = arr
-                    mapped += arr.nbytes
-                OBS.add("data_plane.bytes_mapped", mapped)
-            else:
-                with np.load(path) as data:
-                    cols = {name: data[name] for name in COLUMN_DTYPES}
-            n = self.shard_rows[i]
-            for name, dtype in COLUMN_DTYPES.items():
-                col = cols[name]
-                if col.dtype != dtype or col.shape != (n,):
-                    raise ValueError(
-                        f"column {name!r} has shape {col.shape} dtype "
-                        f"{col.dtype} (want ({n},) {np.dtype(dtype)})")
-        except (FileNotFoundError, ValueError, KeyError, TypeError,
-                OSError, EOFError, zipfile.BadZipFile) as exc:
-            OBS.warn(f"trace store: corrupt shard {path.name} in "
-                     f"{self.directory.name} ({type(exc).__name__}: {exc});"
-                     f" entry deleted")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(self.directory, ignore_errors=True)
-            raise CorruptTraceError(str(path)) from exc
-        return AccessTrace(layout=self.layout,
-                           total_instructions=self.total_instructions,
-                           **cols)
+            try:
+                cols = load_columns(self.directory, COLUMN_DTYPES,
+                                    prefix=_shard(i),
+                                    rows=self.shard_rows[i])
+            except READ_ERRORS as exc:
+                drop_corrupt(self.directory, exc, label="trace store",
+                             obs="trace_store")
+                raise CorruptTraceError(
+                    f"{self.directory}: shard {i}") from exc
+            yield AccessTrace(layout=self.layout,
+                              total_instructions=self.total_instructions,
+                              **cols)
 
     def materialize(self) -> AccessTrace:
         """Concatenate every shard into one monolithic trace.
@@ -233,8 +185,8 @@ class ChunkedTrace:
 class _Resharder:
     """Accumulate variable-size column blocks, emit fixed-size shards."""
 
-    def __init__(self, directory: Path, chunk_accesses: int):
-        self.directory = directory
+    def __init__(self, writer: EntryWriter, chunk_accesses: int):
+        self.writer = writer
         self.chunk = chunk_accesses
         self.bufs: dict[str, list[np.ndarray]] = \
             {name: [] for name in COLUMN_DTYPES}
@@ -257,82 +209,43 @@ class _Resharder:
         return self.shard_rows
 
     def _emit(self, rows: int) -> None:
-        stem = f"shard-{len(self.shard_rows):05d}"
-        pid = os.getpid()
+        prefix = _shard(len(self.shard_rows))
         for name in COLUMN_DTYPES:
             whole = np.concatenate(self.bufs[name])
             self.bufs[name] = [whole[rows:]] if rows < len(whole) else []
-            # Raw .npy per column: np.save pads the header to a 64-byte
-            # boundary, so readers can map the data aligned.
-            target = self.directory / f"{stem}.{name}.npy"
-            tmp = target.with_name(f".{target.name}.{pid}.tmp.npy")
-            np.save(tmp, np.ascontiguousarray(whole[:rows]))
-            os.replace(tmp, target)
+            self.writer.column(f"{prefix}{name}", whole[:rows])
         self.shard_rows.append(rows)
         self.buffered -= rows
-
-
-def _publish(tmp: Path, final: Path) -> None:
-    """Move a fully-built entry directory into place.
-
-    A concurrent builder may have won the race; their entry is
-    interchangeable (content-addressed), so ours is discarded.
-    """
-    try:
-        os.rename(tmp, final)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not (final / MANIFEST_NAME).exists():
-            raise
 
 
 def _write_entry(directory: str | Path, chunk_accesses: int,
                  layout: VirtualLayout, total_instructions,
                  fill, key: dict | None) -> ChunkedTrace:
-    """Build one store entry atomically; ``fill(resharder)`` streams rows.
+    """Build one entry at ``directory``; ``fill(resharder)`` streams rows.
 
     ``total_instructions`` may be a zero-arg callable, evaluated after
     ``fill`` ran — generation only knows the final instruction count
     once the last block has streamed through.
     """
-    from repro import __version__
-
     if chunk_accesses <= 0:
         raise ValueError(
             f"chunk_accesses must be positive, got {chunk_accesses}")
-    final = Path(directory)
-    final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.parent / f".{final.name}.{os.getpid()}.tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir()
-    try:
-        sharder = _Resharder(tmp, chunk_accesses)
+    with EntryWriter(directory) as writer:
+        sharder = _Resharder(writer, chunk_accesses)
         fill(sharder)
         shard_rows = sharder.finish()
         if callable(total_instructions):
             total_instructions = total_instructions()
         manifest = {
-            "version": TRACE_STORE_VERSION,
-            "repro_version": __version__,
             "key": key,
-            "shard_format": "npy",
             "n_accesses": sum(shard_rows),
             "chunk_accesses": int(chunk_accesses),
             "shard_rows": shard_rows,
             "total_instructions": int(total_instructions),
             "layout": layout_to_doc(layout),
         }
-        # Manifest last: its presence marks the entry complete.
-        mtmp = tmp / f".{MANIFEST_NAME}.tmp"
-        mtmp.write_text(json.dumps(manifest))
-        os.replace(mtmp, tmp / MANIFEST_NAME)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    shutil.rmtree(final, ignore_errors=True)
-    _publish(tmp, final)
-    OBS.add("trace_store.store")
-    return ChunkedTrace(final, manifest)
+        path = writer.publish(manifest, version=TRACE_STORE_VERSION)
+    return ChunkedTrace(path, manifest)
 
 
 def build_chunked(builder, n_accesses: int, rng: np.random.Generator,
@@ -397,70 +310,30 @@ def chunk_trace(trace: AccessTrace, directory: str | Path, *,
 # ---- the store --------------------------------------------------------------
 
 
-class TraceStore:
-    """Content-addressed ``trace_key -> ChunkedTrace`` directory store."""
+class TraceStore(ColumnStore):
+    """Content-addressed ``trace_key -> ChunkedTrace`` store."""
+
+    version = TRACE_STORE_VERSION
+    obs = "trace_store"
+    label = "trace store"
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-
-    def entry_dir(self, key: dict) -> Path:
-        return self.directory / _digest(key)
+        super().__init__(directory)
 
     def get(self, key: dict) -> ChunkedTrace | None:
-        """Stored trace for ``key``, or ``None`` (= build it).
-
-        A missing manifest (absent entry, or a build that died before
-        publishing) reads as a miss; an unreadable or version-stale
-        entry is deleted and reads as a miss.
-        """
-        entry = self.entry_dir(key)
-        path = entry / MANIFEST_NAME
-        try:
-            manifest = json.loads(path.read_text())
-        except FileNotFoundError:
-            OBS.add("trace_store.miss")
-            return None
-        except (ValueError, OSError) as exc:
-            OBS.warn(f"trace store: corrupt manifest {entry.name} "
-                     f"({type(exc).__name__}: {exc}); rebuilding")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(entry, ignore_errors=True)
-            return None
-        if manifest.get("version") not in READABLE_VERSIONS:
-            # A genuinely unknown (newer, or pre-v1) format after an
-            # upgrade — drop it quietly and rebuild.
-            shutil.rmtree(entry, ignore_errors=True)
-            OBS.add("trace_store.stale")
-            return None
-        if manifest.get("version") != TRACE_STORE_VERSION:
-            # v1 npz shards: served in place (no rewrite — resharding
-            # a large entry on read would defeat the bounded-RSS point;
-            # it ages out via normal rebuild/eviction instead).
-            OBS.add("trace_store.legacy_hit")
-        try:
-            trace = ChunkedTrace(entry, manifest)
-        except (KeyError, TypeError, ValueError) as exc:
-            OBS.warn(f"trace store: bad manifest {entry.name} "
-                     f"({type(exc).__name__}: {exc}); rebuilding")
-            OBS.add("trace_store.corrupt")
-            shutil.rmtree(entry, ignore_errors=True)
-            return None
-        OBS.add("trace_store.hit")
-        return trace
+        """Stored trace for ``key``, or ``None`` (= build it)."""
+        return self.read(key_digest(key), ChunkedTrace)
 
     def build(self, key: dict, builder, n_accesses: int,
               rng: np.random.Generator, *,
               fast_path: bool | None = None) -> ChunkedTrace:
         """Build (and publish) the entry for a synthetic-trace key."""
-        return build_chunked(builder, n_accesses, rng, self.entry_dir(key),
-                             chunk_accesses=key["chunk_accesses"],
-                             fast_path=fast_path, key=key)
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for p in self.directory.iterdir()
-                   if (p / MANIFEST_NAME).exists())
+        trace = build_chunked(builder, n_accesses, rng,
+                              self.entry_path(key_digest(key)),
+                              chunk_accesses=key["chunk_accesses"],
+                              fast_path=fast_path, key=key)
+        self.stored(trace.directory)
+        return trace
 
 
 # ---- module-level wiring ---------------------------------------------------

@@ -7,28 +7,26 @@ for two real workflows: (a) importing traces captured by external tools
 
 Two on-disk shapes share one API, selected by the target path:
 
-* ``*.npz`` — the v1 interchange format, a plain
+* ``*.npz`` — the interchange format, a plain
   ``numpy.savez_compressed`` archive holding the five access columns
   plus a JSON-encoded layout, producible and consumable without this
   library.  Kept for external tooling; loading fully materializes.
-* anything else — the v2 mmap-native *directory* format: one raw
-  aligned ``.npy`` file per column plus a ``trace.json`` meta sidecar
-  (written last, so its presence marks a complete entry).  Loading
-  maps the columns with ``np.load(mmap_mode="r")`` and pages lazily,
-  so a frozen trace costs no RSS until touched and concurrent readers
-  share physical pages.
+* anything else — a :mod:`repro.util.store` entry at that path: one
+  raw aligned ``.npy`` file per column plus ``meta.json``, built in a
+  temp directory and renamed into place.  Loading maps the columns
+  with ``np.load(mmap_mode="r")`` and pages lazily, so a frozen trace
+  costs no RSS until touched and concurrent readers share physical
+  pages.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from repro.cpu.hierarchy import SEG_CODE, SEG_GLOBAL, SEG_STACK
-from repro.obs.registry import OBS
 from repro.trace.events import (
     PAGE_BYTES,
     AccessTrace,
@@ -36,16 +34,14 @@ from repro.trace.events import (
     VirtualLayout,
     _page_ceil,
 )
+from repro.util.store import META_NAME, EntryWriter, load_columns, read_meta
 
-#: Version embedded in the v2 directory format's ``trace.json``.
-FORMAT_VERSION = 2
+#: Version embedded in the directory format's meta.
+FORMAT_VERSION = 3
 
-#: Version embedded in legacy ``.npz`` bundles (unchanged, so archives
-#: written by older releases and external converters stay readable).
+#: Version embedded in ``.npz`` bundles (unchanged, so archives written
+#: by older releases and external converters stay readable).
 NPZ_FORMAT_VERSION = 1
-
-#: Meta sidecar of the v2 directory format.
-TRACE_META_NAME = "trace.json"
 
 #: Column name → required dtype.  External producers (Pin/DynamoRIO
 #: converters, other languages) routinely emit int32 counters or uint8
@@ -155,92 +151,54 @@ def layout_from_doc(doc: dict) -> VirtualLayout:
 def save_trace(trace: AccessTrace, path: str | Path) -> None:
     """Write a trace to ``path``.
 
-    A ``*.npz`` path gets the v1 single-file interchange bundle; any
-    other path becomes a v2 mmap-native directory (columns as raw
-    ``.npy`` files, ``trace.json`` meta written last).
+    A ``*.npz`` path gets the single-file interchange bundle; any other
+    path becomes a mmap-native entry directory (replacing an earlier
+    trace saved there; any other non-empty directory is refused).
     """
     path = Path(path)
+    doc = {**layout_to_doc(trace.layout),
+           "total_instructions": trace.total_instructions}
     if path.suffix == ".npz":
-        layout_doc = {
-            "version": NPZ_FORMAT_VERSION,
-            **layout_to_doc(trace.layout),
-            "total_instructions": trace.total_instructions,
-        }
         np.savez_compressed(
             path,
-            inst=trace.inst,
-            vaddr=trace.vaddr,
-            is_write=trace.is_write,
-            obj_id=trace.obj_id,
-            dep=trace.dep,
-            layout=np.frombuffer(json.dumps(layout_doc).encode(),
-                                 dtype=np.uint8),
+            **{name: getattr(trace, name) for name in COLUMN_DTYPES},
+            layout=np.frombuffer(
+                json.dumps({"version": NPZ_FORMAT_VERSION, **doc}).encode(),
+                dtype=np.uint8),
         )
         return
-    path.mkdir(parents=True, exist_ok=True)
-    pid = os.getpid()
-    # Columns first, meta last: the sidecar marks completeness, so a
-    # crash mid-write never leaves a readable half-trace.  np.save pads
-    # its header to a 64-byte boundary, keeping the data aligned.
-    for name in COLUMN_DTYPES:
-        target = path / f"{name}.npy"
-        tmp = target.with_name(f".{target.name}.{pid}.tmp.npy")
-        np.save(tmp, np.ascontiguousarray(getattr(trace, name)))
-        os.replace(tmp, target)
-    meta = {
-        "version": FORMAT_VERSION,
-        **layout_to_doc(trace.layout),
-        "total_instructions": trace.total_instructions,
-    }
-    target = path / TRACE_META_NAME
-    tmp = target.with_name(f".{target.name}.{pid}.tmp")
-    tmp.write_text(json.dumps(meta))
-    os.replace(tmp, target)
+    if (path.is_dir() and any(path.iterdir())
+            and not (path / META_NAME).exists()):
+        raise FileExistsError(f"{path} is a non-empty directory, not a "
+                              "saved trace")
+    with EntryWriter(path) as writer:
+        for name in COLUMN_DTYPES:
+            writer.column(name, getattr(trace, name))
+        writer.publish(doc, version=FORMAT_VERSION)
 
 
 def load_trace(path: str | Path) -> AccessTrace:
     """Read a trace written by :func:`save_trace` (either format).
 
-    v2 directory entries are returned as lazily-paged mmap views; v1
-    npz bundles decompress fully (and pass through
-    :func:`coerce_columns` to normalize external dtype slop).
+    Directory entries are returned as lazily-paged mmap views; npz
+    bundles decompress fully (and pass through :func:`coerce_columns`
+    to normalize external dtype slop).
     """
     path = Path(path)
-    meta_path = path / TRACE_META_NAME
-    if path.is_dir() or meta_path.exists():
-        doc = json.loads(meta_path.read_text())
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {doc.get('version')!r}")
-        layout = layout_from_doc(doc)
-        cols = {}
-        mapped = 0
-        for name, dtype in COLUMN_DTYPES.items():
-            arr = np.load(path / f"{name}.npy", mmap_mode="r")
-            if arr.dtype != dtype or arr.ndim != 1:
-                raise ValueError(
-                    f"trace column {name!r} has dtype {arr.dtype} "
-                    f"ndim {arr.ndim} (want {np.dtype(dtype)}, 1-D)")
-            cols[name] = arr
-            mapped += arr.nbytes
-        OBS.add("data_plane.bytes_mapped", mapped)
-        return AccessTrace(
-            layout=layout,
-            total_instructions=int(doc["total_instructions"]),
-            **cols,
-        )
-    with np.load(path) as data:
-        doc = json.loads(bytes(data["layout"]).decode())
-        if doc.get("version") != NPZ_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported trace format version {doc.get('version')!r}")
-        layout = layout_from_doc(doc)
-        cols = coerce_columns({name: data[name] for name in COLUMN_DTYPES})
-        return AccessTrace(
-            layout=layout,
-            total_instructions=int(doc["total_instructions"]),
-            **cols,
-        )
+    if path.is_dir():
+        doc = read_meta(path, FORMAT_VERSION)
+        cols = load_columns(path, COLUMN_DTYPES)
+    else:
+        with np.load(path) as data:
+            doc = json.loads(bytes(data["layout"]).decode())
+            if doc.get("version") != NPZ_FORMAT_VERSION:
+                raise ValueError(f"unsupported trace format version "
+                                 f"{doc.get('version')!r}")
+            cols = coerce_columns(
+                {name: data[name] for name in COLUMN_DTYPES})
+    return AccessTrace(layout=layout_from_doc(doc),
+                       total_instructions=int(doc["total_instructions"]),
+                       **cols)
 
 
 def import_trace(path: str | Path, directory: str | Path, *,

@@ -11,7 +11,7 @@ onto the result.
 
 :class:`ResidentLRU` is that something: a small bounded
 most-recently-used map each subsystem keys however it likes (store
-entry path + mtime, content digest of decode inputs).  It is
+entry meta stat signature, content digest of decode inputs).  It is
 process-local by design — the cross-process sharing happens one layer
 down, in the page cache backing the mmaps.
 

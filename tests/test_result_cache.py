@@ -1,10 +1,12 @@
 """Tests for the persistent result cache and the sweep engine.
 
-Covers the on-disk entry lifecycle (hit/miss/corrupt/stale/refresh/
-evict), the engine's cache wiring and precedence rules, lossless
-``RunMetrics`` round-trips (including a hypothesis property test),
-cross-process reuse through the CLI, and the cold-vs-warm campaign
-equivalence the cache exists to provide.
+Covers what is specific to the result cache: the entry's contents,
+the resident map of parsed docs, the engine's cache wiring and
+precedence rules, lossless ``RunMetrics`` round-trips (including a
+hypothesis property test), cross-process reuse through the CLI, and the
+cold-vs-warm campaign equivalence the cache exists to provide.  The
+shared store protocol (corrupt/stale/refresh/eviction/concurrency) is
+covered once for every store in ``tests/test_store.py``.
 """
 
 import json
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 
 from repro.cpu.core import CoreResult
 from repro.experiments import engine
-from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache
+from repro.experiments.cache import CACHE_VERSION, ResultCache
 from repro.obs.registry import OBS
 from repro.sim.metrics import RunMetrics
 from repro.sim.spec import RunSpec, run
+from repro.util.store import META_NAME, StoreStats
 
 N = 8_000
 
@@ -53,18 +56,11 @@ class TestResultCache:
         assert cache.stats.misses == 1
         assert len(cache) == 0
 
-    def test_put_get_roundtrip(self, tmp_path, metrics):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        assert path.name == f"{SPEC.key()}.json"
-        restored = cache.get(SPEC)
-        assert restored == metrics
-        assert restored.per_core == metrics.per_core
-        assert cache.stats.hits == 1 and cache.stats.stores == 1
-
     def test_entry_records_spec_and_version(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
-        doc = json.loads(cache.put(SPEC, metrics).read_text())
+        entry = cache.put(SPEC, metrics)
+        assert entry.name == SPEC.key()
+        doc = json.loads((entry / META_NAME).read_text())
         assert doc["version"] == CACHE_VERSION
         assert doc["spec"] == SPEC.canonical()
         assert "repro_version" in doc
@@ -73,62 +69,21 @@ class TestResultCache:
         ResultCache(tmp_path).put(SPEC, metrics)
         assert ResultCache(tmp_path).get(SPEC) == metrics
 
-    def test_corrupt_entry_warns_once_and_resimulates(self, tmp_path,
-                                                      metrics, capsys):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        path.write_text(path.read_text()[:40])  # truncated JSON
-        assert cache.get(SPEC) is None
-        assert not path.exists()  # corrupt entries are deleted
-        assert cache.stats.corrupt == 1
-        err = capsys.readouterr().err
-        assert err.count("corrupt entry") == 1
-        # The slot re-fills and serves normally afterwards.
-        cache.put(SPEC, metrics)
-        assert cache.get(SPEC) == metrics
-
     def test_missing_field_is_corrupt_not_crash(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
+        path = cache.put(SPEC, metrics) / META_NAME
         doc = json.loads(path.read_text())
         del doc["metrics"]["exec_cycles"]
-        path.write_text(json.dumps(doc))
+        tmp = path.with_name(".meta.tmp")
+        tmp.write_text(json.dumps(doc))
+        os.replace(tmp, path)
         assert cache.get(SPEC) is None
         assert cache.stats.corrupt == 1
 
-    def test_stale_version_dropped_silently(self, tmp_path, metrics,
-                                            capsys):
-        cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
-        doc = json.loads(path.read_text())
-        doc["version"] = CACHE_VERSION + 1
-        path.write_text(json.dumps(doc))
-        assert cache.get(SPEC) is None
-        assert not path.exists()
-        assert cache.stats.corrupt == 0  # stale, not corrupt
-        assert "corrupt" not in capsys.readouterr().err
-
-    def test_refresh_bypasses_read_but_overwrites(self, tmp_path, metrics):
-        ResultCache(tmp_path).put(SPEC, metrics)
-        cache = ResultCache(tmp_path, refresh=True)
-        assert cache.get(SPEC) is None  # hit on disk, still a miss
-        cache.put(SPEC, metrics)
-        assert cache.stats.misses == 1 and cache.stats.stores == 1
-        assert ResultCache(tmp_path).get(SPEC) == metrics
-
-    def test_eviction_keeps_newest(self, tmp_path, metrics):
-        cache = ResultCache(tmp_path, max_entries=1)
-        p1 = cache.put(SPEC, metrics)
-        os.utime(p1, (1, 1))  # force a stale mtime
-        p2 = cache.put(SPEC2, metrics)
-        assert not p1.exists() and p2.exists()
-        assert cache.stats.evicted == 1
-        assert len(cache) == 1
-
     def test_hit_ratio(self):
-        stats = CacheStats(hits=3, misses=1)
+        stats = StoreStats(hits=3, misses=1)
         assert stats.hit_ratio == 0.75
-        assert CacheStats().hit_ratio == 0.0
+        assert StoreStats().hit_ratio == 0.0
         assert stats.to_dict()["hit_ratio"] == 0.75
 
 
@@ -147,7 +102,7 @@ class TestMemoLayer:
         cache = ResultCache(tmp_path)
         cache.put(SPEC, metrics)  # put seeds the memo
         assert cache.get(SPEC) == metrics
-        assert OBS.counters.get("cache.memo_hit") == 1
+        assert OBS.counters.get("cache.resident_hit") == 1
         assert OBS.counters.get("data_plane.copies_avoided") == 1
         assert cache.stats.hits == 1  # memo hits are still cache hits
 
@@ -159,28 +114,30 @@ class TestMemoLayer:
 
     def test_external_overwrite_invalidates_memo(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
-        path = cache.put(SPEC, metrics)
+        path = cache.put(SPEC, metrics) / META_NAME
         # A sibling process replaces the entry: new bytes, new stat
         # signature — our memo entry must be bypassed in favour of disk.
         doc = json.loads(path.read_text())
         doc["metrics"]["exec_cycles"] = doc["metrics"]["exec_cycles"] + 1
-        path.write_text(json.dumps(doc))
+        tmp = path.with_name(".meta.tmp")
+        tmp.write_text(json.dumps(doc))
+        os.replace(tmp, path)
         got = cache.get(SPEC)
         assert got.exec_cycles == metrics.exec_cycles + 1
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
     def test_vanished_file_misses_despite_memo(self, tmp_path, metrics):
         cache = ResultCache(tmp_path)
-        cache.put(SPEC, metrics).unlink()
+        (cache.put(SPEC, metrics) / META_NAME).unlink()
         assert cache.get(SPEC) is None
         assert cache.stats.misses == 1
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
     def test_refresh_clears_memo(self, tmp_path, metrics):
         ResultCache(tmp_path).put(SPEC, metrics)
         ResultCache(tmp_path, refresh=True)  # construction clears memo
         assert ResultCache(tmp_path).get(SPEC) == metrics  # via disk
-        assert "cache.memo_hit" not in OBS.counters
+        assert "cache.resident_hit" not in OBS.counters
 
 
 class TestMetricsRoundTrip:
@@ -337,53 +294,3 @@ class TestCampaignEquivalence:
             assert a["columns"] == b["columns"]
             assert a["rows"] == b["rows"]
         runner.single_sweep.cache_clear()
-
-
-#: Worker body for the concurrent-eviction stress test below: hammer a
-#: shared size-bounded cache with distinct keys so every process evicts
-#: entries while its siblings are storing (and vice versa).
-EVICT_WORKER = """
-import sys
-sys.path.insert(0, "src")
-from repro.experiments.cache import ResultCache
-from repro.sim.spec import RunSpec, run
-
-directory, tag = sys.argv[1], int(sys.argv[2])
-metrics = run(RunSpec("sift", "Homogen-DDR3", "homogen", 1_000))
-cache = ResultCache(directory, max_entries=4)
-for i in range(40):
-    spec = RunSpec("sift", "Homogen-DDR3", "homogen",
-                   2_000 + tag * 1_000 + i)
-    cache.put(spec, metrics)
-print(cache.stats.evicted)
-"""
-
-
-class TestConcurrentEviction:
-    def test_parallel_processes_evicting_one_directory(self, tmp_path):
-        """Several processes store into one bounded cache at once; the
-        glob/stat/unlink races inside ``_evict_over`` must all be
-        harmless (satellite: tolerate concurrently-evicted entries)."""
-        shared = tmp_path / "cache"
-        env = {**os.environ, "PYTHONPATH": "src"}
-        procs = [subprocess.Popen(
-                     [sys.executable, "-c", EVICT_WORKER, str(shared),
-                      str(tag)],
-                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                     text=True, env=env, cwd=Path(__file__).parent.parent)
-                 for tag in range(4)]
-        outs = [p.communicate(timeout=300) for p in procs]
-        assert all(p.returncode == 0 for p in procs), \
-            [err for _, err in outs]
-        # Every worker actually exercised eviction, nobody crashed.
-        assert all(int(out.strip()) > 0 for out, _ in outs)
-        # The bound roughly holds (transient overshoot while several
-        # puts race is fine; unbounded growth is not).
-        survivors = list(shared.glob("*.json"))
-        assert 1 <= len(survivors) <= 16
-        # Survivors are intact, readable entries.
-        for path in survivors:
-            doc = json.loads(path.read_text())
-            assert doc["version"] == CACHE_VERSION
-        # No temp-file debris from the atomic writes.
-        assert not list(shared.glob("*.tmp"))

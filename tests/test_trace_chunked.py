@@ -1,14 +1,13 @@
-"""Chunked traces: byte-identity with the monolithic path, store
-robustness, windowed-filter parity, and the RunSpec knob.
+"""Chunked traces: byte-identity with the monolithic path, the corrupt-
+shard contract, windowed-filter parity, and the RunSpec knob.
 
 The contract under test everywhere: chunking is a *layout* choice, not
 a semantic one.  Shard content, filter output, and run metrics must be
 byte-identical to the monolithic pipeline for every shard size — which
 is also why the persistent miss-stream store is shared between the two
-pipelines.
+pipelines.  The shared store protocol is covered in
+``tests/test_store.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from repro.sim.spec import RunSpec
 import repro.sim.single as single
 from repro.trace import chunked
 from repro.trace.builder import TraceBuilder
-from repro.trace.io import COLUMN_DTYPES, import_trace, save_trace
+from repro.trace.io import import_trace, save_trace
 from repro.util.rng import stream
 
 
@@ -142,79 +141,25 @@ class TestTraceStore:
         return key, store.build(key, TraceBuilder(behaviors), n,
                                 stream("chunktest", salt))
 
-    def test_round_trip(self, tiny_behaviors, trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        again = trace_store.get(key)
-        _assert_traces_equal(again.materialize(), built.materialize())
-        assert len(trace_store) == 1
-
     def test_miss_on_absent_key(self, trace_store):
         assert trace_store.get(chunked.trace_key("gcc", "ref", 5, 5)) is None
 
     def test_corrupt_shard_deletes_entry(self, tiny_behaviors,
                                          trace_store):
         key, built = self._build(trace_store, tiny_behaviors)
-        built.shard_path(1).write_bytes(b"not an npz")
+        built.column_path(1, "inst").write_bytes(b"not an npy")
         reopened = trace_store.get(key)
         with pytest.raises(chunked.CorruptTraceError):
             list(reopened.windows())
         assert not reopened.directory.exists()
         assert trace_store.get(key) is None  # reads as a miss → rebuild
 
-    def test_version_stale_entry_dropped(self, tiny_behaviors,
-                                         trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        mpath = built.directory / chunked.MANIFEST_NAME
-        doc = json.loads(mpath.read_text())
-        doc["version"] = chunked.TRACE_STORE_VERSION + 1
-        mpath.write_text(json.dumps(doc))
-        assert trace_store.get(key) is None
-        assert not built.directory.exists()
-
-    def test_garbled_manifest_dropped(self, tiny_behaviors, trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        (built.directory / chunked.MANIFEST_NAME).write_text("{oops")
-        assert trace_store.get(key) is None
-        assert not built.directory.exists()
-
-    def _downgrade_to_v1(self, entry):
-        """Rewrite a v2 entry into the legacy npz-shard layout."""
-        for i in range(entry.n_shards):
-            cols = {name: np.load(entry.column_path(i, name))
-                    for name in COLUMN_DTYPES}
-            np.savez_compressed(
-                entry.directory / f"shard-{i:05d}.npz", **cols)
-            for name in COLUMN_DTYPES:
-                entry.column_path(i, name).unlink()
-        mpath = entry.directory / chunked.MANIFEST_NAME
-        doc = json.loads(mpath.read_text())
-        doc["version"] = 1
-        doc.pop("shard_format", None)
-        mpath.write_text(json.dumps(doc))
-
-    def test_legacy_v1_entry_served_in_place(self, tiny_behaviors,
-                                             trace_store):
-        key, built = self._build(trace_store, tiny_behaviors)
-        want = built.materialize()
-        self._downgrade_to_v1(built)
-
-        legacy = trace_store.get(key)
-        assert legacy is not None
-        assert legacy.shard_format == "npz"
-        _assert_traces_equal(legacy.materialize(), want)
-        # Served in place: no rewrite-on-read (resharding a large entry
-        # would defeat the bounded-RSS point), manifest still v1.
-        doc = json.loads(
-            (built.directory / chunked.MANIFEST_NAME).read_text())
-        assert doc["version"] == 1
-        assert not list(built.directory.glob("*.npy"))
-
     def test_filtered_stream_chunked_retries_corruption(self, trace_store):
         """The runner-facing wrapper recovers from a corrupt entry by
         rebuilding — one retry, no caller-visible error."""
         first = single.filtered_stream_chunked("mcf", "ref", N, 4000)
         entry = trace_store.get(chunked.trace_key("mcf", "ref", N, 4000))
-        entry.shard_path(0).write_bytes(b"garbage")
+        entry.column_path(0, "inst").write_bytes(b"garbage")
         single.filtered_stream_chunked.cache_clear()
         again = single.filtered_stream_chunked("mcf", "ref", N, 4000)
         _assert_filter_equal(again[:2], first[:2])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cpu.hierarchy import CacheHierarchy
-from repro.trace.io import TRACE_META_NAME, load_trace, save_trace
+from repro.trace.io import load_trace, save_trace
+from repro.util.store import META_NAME
 from repro.workloads.inputs import build_app_trace
 
 
@@ -73,12 +74,12 @@ class TestTraceRoundtrip:
 
 
 class TestDirectoryFormat:
-    """The v2 mmap-native directory format (non-.npz target paths)."""
+    """The mmap-native directory format (non-.npz target paths)."""
 
     def test_round_trip_is_mmap(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
         save_trace(tiny_trace, path)
-        assert (path / TRACE_META_NAME).exists()
+        assert (path / META_NAME).exists()
         restored = load_trace(path)
         assert isinstance(restored.inst, np.memmap)
         assert not restored.inst.flags.writeable
@@ -110,7 +111,7 @@ class TestDirectoryFormat:
     def test_bad_version_rejected(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
         save_trace(tiny_trace, path)
-        meta = path / TRACE_META_NAME
+        meta = path / META_NAME
         doc = json.loads(meta.read_text())
         doc["version"] = 99
         meta.write_text(json.dumps(doc))
@@ -123,3 +124,17 @@ class TestDirectoryFormat:
         np.save(path / "obj_id", tiny_trace.obj_id.astype(np.int64))
         with pytest.raises(ValueError, match="obj_id"):
             load_trace(path)
+
+    def test_resave_replaces_and_foreign_dir_refused(self, tiny_trace,
+                                                     tmp_path):
+        path = tmp_path / "t.trace"
+        save_trace(tiny_trace, path)
+        save_trace(tiny_trace, path)  # replaces the earlier trace
+        assert len(load_trace(path)) == len(tiny_trace)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.trace"]
+        foreign = tmp_path / "notes"
+        foreign.mkdir()
+        (foreign / "keep.txt").write_text("x")
+        with pytest.raises(FileExistsError):
+            save_trace(tiny_trace, foreign)
+        assert (foreign / "keep.txt").exists()
