@@ -32,6 +32,8 @@ process), which would poison the speedup measurement.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -237,7 +239,7 @@ def test_filter_speedup_holds():
         f"see {FILTER_RESULT_PATH}")
 
 
-SYN_APP = "sift"  # loudest win of the 10 stock apps; all are >= 1x
+SYN_APP = "sift"
 SYN_ACCESSES = 1_000_000
 
 
@@ -246,9 +248,10 @@ def test_synthesis_speedup_holds():
 
     1M accesses is where the chunk loop's per-burst Python overhead
     dominates (the scale ``benchmarks/trace_scale.py`` runs at); the
-    gate app is the stock behaviour mix with the highest measured gain,
-    so a regression here flags kernel rot before the quieter apps feel
-    it.
+    gate app is the one the baseline was measured on.  Besides the
+    ratio, ``BENCH_synthesis.json`` records
+    each engine's absolute accesses/s with the host it ran on: a
+    change that slowed both engines alike would keep the ratio.
     """
     behaviors = list(app(SYN_APP).behaviors)
     best: dict[bool, float] = {}
@@ -280,6 +283,9 @@ def test_synthesis_speedup_holds():
         "ref_accesses_per_sec": round(SYN_ACCESSES / best[False]),
         "fast_accesses_per_sec": round(SYN_ACCESSES / best[True]),
         "speedup": round(speedup, 2),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
     }
     SYNTHESIS_RESULT_PATH.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"\nsynthesis: ref {doc['ref_accesses_per_sec']} acc/s, "

@@ -5,8 +5,8 @@ build and filter intermediates), so 10M accesses costs hundreds of MB
 of peak RSS before filtering even starts.  The chunked pipeline
 (``repro.trace.chunked`` + ``CacheHierarchy.filter_chunked``) bounds
 peak memory by the shard size instead.  This script runs the full
-pipeline — synthesis kernel, chunked store, windowed filter kernel — at
-10M accesses and asserts the process's lifetime peak RSS (via
+pipeline — the C synthesis kernel streaming 64k-row windows, the
+chunked store, the windowed filter kernel — at 10M accesses and asserts the process's lifetime peak RSS (via
 ``repro.obs.telemetry.peak_rss_kb``, i.e. ``ru_maxrss``) stays under a
 ceiling a monolithic build cannot meet.
 

@@ -21,7 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # The replay kernel's C source (see pyproject.toml).
-    package_data={"repro.memctrl": ["*.c"]},
+    package_data={"repro.memctrl": ["*.c"], "repro.trace": ["*.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

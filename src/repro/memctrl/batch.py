@@ -41,28 +41,15 @@ Bit-identity contract (pinned by ``tests/test_parity.py``):
   cores on the system, and the kernel keeps, per core and channel, the
   step of the core's last episode on that channel.
 
-Building: the kernel compiles on first use with ``cc -O2 -shared -fPIC``
-and is cached as ``replay_kernel-<tag>.so`` in the ``__pycache__``
-directory beside the source, where ``<tag>`` hashes the source, the
-flags and the machine type; a ``.sha256`` file written after it marks
-the library complete.  When that directory is not writable the
-cache falls back to ``$XDG_CACHE_HOME/repro`` (default
-``~/.cache/repro``), then to a private temporary directory.  With no
-compiler, or a failed build or ``dlopen``, :func:`replay_kernel`
-warns once and the core falls back to the reference interpreter.
+Building: :mod:`repro.util.ckernel` compiles the kernel on first use
+and caches it as ``replay_kernel-<tag>.so`` beside the source.  With no
+compiler, or a failed build or ``dlopen``, :func:`replay_kernel` warns
+once and the core falls back to the reference interpreter.
 """
 
 from __future__ import annotations
 
-import _ctypes
-import atexit
 import ctypes
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
 import weakref
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -74,12 +61,13 @@ from repro.memctrl.addrmap import LINE_BITS, LINE_BYTES
 from repro.memctrl.scheduler import fcfs_order, frfcfs_order
 from repro.memctrl.system import MemorySystem
 from repro.obs.registry import OBS
+from repro.util import ckernel
 from repro.util.resident import ResidentLRU, content_digest
 
 # ---- building and loading the kernel ----------------------------------------
 
 SOURCE = Path(__file__).with_name("replay_kernel.c")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ckernel.CFLAGS
 
 class _Ctx(ctypes.Structure):
     """Mirror of ``replay_ctx`` in ``replay_kernel.c`` (same field order)."""
@@ -102,64 +90,12 @@ class Kernel(NamedTuple):
     interleave: Callable
 
 
-class KernelUnavailable(RuntimeError):
-    """The replay kernel could not be built or loaded."""
-
-
-def _compiler() -> str | None:
-    return shutil.which("cc") or shutil.which("gcc")
-
-
-def _cache_dirs():
-    """Candidate directories for the built library, in preference order."""
-    yield SOURCE.parent / "__pycache__"
-    xdg = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache")
-    yield Path(xdg) / "repro"
-    private = tempfile.mkdtemp(prefix="repro-kernel-")
-    atexit.register(shutil.rmtree, private, True)
-    yield Path(private)
-
-
-def _library_name() -> str:
-    tag = hashlib.sha256(b"\0".join([
-        SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
-        platform.machine().encode()])).hexdigest()[:16]
-    return f"replay_kernel-{tag}.so"
-
-
-def _checksum_path(path: Path) -> Path:
-    return path.with_suffix(".sha256")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _open(path: Path) -> Kernel | None:
-    """The loaded kernel, or ``None`` if ``path`` is unusable.
-
-    The library must match the checksum written after it: ``dlopen`` of
-    a torn or truncated file can crash the process instead of failing.
-    It must also export every entry point of :class:`Kernel`: a library
-    built from an older source is rebuilt, not half-used.  A rejected
-    library is unloaded again, or ``dlopen`` of the rebuilt file at the
-    same path would hand back the stale handle.
-    """
-    try:
-        if _checksum_path(path).read_text() != _sha256(path):
-            return None
-        lib = ctypes.CDLL(str(path))
-    except OSError:
+def _bind(lib) -> Kernel | None:
+    """Type the entry points; ``None`` for a library built from an
+    older source (it is rebuilt, not half-used)."""
+    if lib.replay_abi() != ctypes.sizeof(_Ctx):
         return None
-    try:
-        usable = lib.replay_abi() == ctypes.sizeof(_Ctx)
-        run, inter = lib.replay_run, lib.replay_interleave
-    except AttributeError:
-        usable = False
-    if not usable:
-        _ctypes.dlclose(lib._handle)
-        return None
+    run, inter = lib.replay_run, lib.replay_interleave
     run.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64)
     run.restype = ctypes.c_int64
     inter.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
@@ -168,65 +104,26 @@ def _open(path: Path) -> Kernel | None:
     return Kernel(run, inter)
 
 
-def _replace_atomically(directory: Path, path: Path, write) -> None:
-    """Create ``path`` by ``write(tmp)`` on a temporary file + rename."""
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+_LIB = ckernel.CKernel(SOURCE, _bind, warning=(
+    "replay kernel unavailable ({exc}); replays use the reference "
+    "interpreter (bit-identical, slower)", "replay-kernel"))
+
+# Module-level seams over the loader; the cache tests patch these.
+_compiler = ckernel.compiler
+_checksum_path = ckernel.checksum_path
+_sha256 = ckernel.sha256
+_library_name = _LIB.library_name
+_open = _LIB.open
 
 
-def _build(cc: str, path: Path) -> None:
-    """Compile the kernel to ``path``, then write its checksum.
-
-    Raises ``OSError`` when the directory is not writable and
-    :class:`KernelUnavailable` when the compiler fails.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    digest = []
-
-    def compile_to(tmp: str) -> None:
-        try:
-            proc = subprocess.run([cc, *CFLAGS, "-o", tmp, str(SOURCE)],
-                                  capture_output=True, text=True,
-                                  timeout=120)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise KernelUnavailable(f"{cc} failed: {exc}") from exc
-        if proc.returncode != 0:
-            raise KernelUnavailable(
-                f"{cc} failed: {proc.stderr.strip()[:400]}")
-        digest.append(_sha256(Path(tmp)))
-
-    _replace_atomically(path.parent, path, compile_to)
-    _replace_atomically(path.parent, _checksum_path(path),
-                        lambda tmp: Path(tmp).write_text(digest[0]))
+def _cache_dirs():
+    return ckernel.cache_dirs(SOURCE)
 
 
-def load_kernel():
-    """Load the cached kernel or build it; raises :class:`KernelUnavailable`."""
-    name = _library_name()
-    cc = None
-    for directory in _cache_dirs():
-        path = directory / name
-        if path.is_file():
-            fn = _open(path)
-            if fn is not None:
-                return fn
-        cc = cc or _compiler()
-        if cc is None:
-            raise KernelUnavailable("no C compiler (cc or gcc) on PATH")
-        try:
-            _build(cc, path)
-        except OSError:
-            continue  # not writable here: try the next directory
-        fn = _open(path)
-        if fn is not None:
-            return fn
-    raise KernelUnavailable("built library could not be loaded")
+def load_kernel() -> Kernel:
+    """Load the cached kernel or build it; raises
+    :class:`~repro.util.ckernel.KernelUnavailable`."""
+    return _LIB.load(_cache_dirs(), _compiler)
 
 
 #: ``None`` = not tried yet, ``False`` = unavailable, else the kernel.
@@ -237,13 +134,7 @@ def replay_kernel() -> Kernel | None:
     """The process's replay kernel, or ``None`` (warned once)."""
     global _KERNEL
     if _KERNEL is None:
-        try:
-            _KERNEL = load_kernel()
-        except KernelUnavailable as exc:
-            OBS.warn(f"replay kernel unavailable ({exc}); replays use the "
-                     f"reference interpreter (bit-identical, slower)",
-                     key="replay-kernel")
-            _KERNEL = False
+        _KERNEL = _LIB.try_load(load_kernel)
     return _KERNEL or None
 
 

@@ -5,7 +5,8 @@ structures at a time), which is what gives memory objects their distinct
 cache and MLP signatures.  The builder draws a sequence of (object, burst
 length) chunks, generates each burst's addresses with the vectorized
 pattern generators, and threads a global instruction counter through the
-stream.
+stream.  That chunk loop is the reference engine; the default engine runs
+the same loop in C over numpy's own RNG functions (:mod:`repro.trace.synth`).
 """
 
 from __future__ import annotations
@@ -100,36 +101,20 @@ class TraceBuilder:
               fast_path: bool | None = None) -> AccessTrace:
         """Generate a trace of ``n_accesses`` memory references.
 
-        ``fast_path`` selects the vectorized synthesis kernel
-        (:mod:`repro.trace.kernel`), which is bit-identical to the
+        ``fast_path`` selects the compiled synthesis kernel
+        (:mod:`repro.trace.synth`), which is bit-identical to the
         reference chunk loop; ``None`` follows the process-wide
         ``REPRO_FAST_PATH`` switch.
         """
         layout = layout or VirtualLayout()
-        blocks = self.iter_blocks(n_accesses, rng, layout=layout,
-                                  fast_path=fast_path)
-        vaddr_parts: list[np.ndarray] = []
-        write_parts: list[np.ndarray] = []
-        dep_parts: list[np.ndarray] = []
-        obj_parts: list[np.ndarray] = []
-        gap_parts: list[np.ndarray] = []
-        for vaddr, is_write, dep, obj_id, gaps in blocks:
-            vaddr_parts.append(vaddr)
-            write_parts.append(is_write)
-            dep_parts.append(dep)
-            obj_parts.append(obj_id)
-            gap_parts.append(gaps)
-
-        default_gap = max(1.0, 1000.0 / self.mem_per_ki)
-        gaps = np.concatenate(gap_parts)[:n_accesses]
+        vaddr, is_write, dep, obj_id, gaps = (
+            np.concatenate(column) for column in zip(*self.iter_blocks(
+                n_accesses, rng, layout=layout, fast_path=fast_path)))
         inst = np.cumsum(gaps)
+        default_gap = max(1.0, 1000.0 / self.mem_per_ki)
         return AccessTrace(
-            inst=inst,
-            vaddr=np.concatenate(vaddr_parts)[:n_accesses].astype(np.int64),
-            is_write=np.concatenate(write_parts)[:n_accesses],
-            dep=np.concatenate(dep_parts)[:n_accesses],
-            obj_id=np.concatenate(obj_parts)[:n_accesses],
-            layout=layout,
+            inst=inst, vaddr=vaddr, is_write=is_write, dep=dep,
+            obj_id=obj_id, layout=layout,
             total_instructions=int(inst[-1] + round(default_gap)),
         )
 
@@ -141,18 +126,19 @@ class TraceBuilder:
 
         This is the bounded-RSS entry point ``trace.chunked`` shards
         from; :meth:`build` is a concatenation of it.  Blocks are
-        per-chunk on the reference path and larger batches on the
-        kernel path — concatenated content is identical either way.
+        per-chunk on the reference path and windows of whole bursts on
+        the kernel path — concatenated content and the RNG's end state
+        are identical either way.
         """
         if n_accesses <= 0:
             raise ValueError("n_accesses must be positive")
         layout = layout if layout is not None else VirtualLayout()
         bases, ids = self.place_objects(layout)
 
-        from repro.trace import kernel
+        from repro.trace import synth
         fast = fast_path if fast_path is not None else fast_path_default()
-        if fast and kernel.supported(self, rng):
-            return kernel.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
+        if fast and synth.supported(self, rng) and synth.synth_kernel():
+            return synth.iter_kernel_blocks(self, n_accesses, rng, bases, ids)
         return self._iter_reference(n_accesses, rng, bases, ids)
 
     def place_objects(self, layout: VirtualLayout

@@ -259,27 +259,20 @@ def build_chunked(builder, n_accesses: int, rng: np.random.Generator,
     ``fast_path``) through a resharding accumulator, threading the
     cumulative instruction counter across blocks, so peak RSS is one
     shard plus one generator block — never the whole trace.  Content
-    is byte-identical to ``builder.build`` with the same arguments:
-    the excess rows of the final burst are dropped exactly as
-    ``build`` truncates them, and the generator is always drained so
-    the caller's ``rng`` finishes in the identical end state.
+    and the caller's final ``rng`` state are byte-identical to
+    ``builder.build`` with the same arguments.
     """
     layout = layout if layout is not None else VirtualLayout()
     default_gap = max(1.0, 1000.0 / builder.mem_per_ki)
-    carry = {"inst": 0, "total": 0}
+    carry = {"inst": 0}
 
     def fill(sharder: _Resharder) -> None:
         for vaddr, is_write, dep, obj_id, gaps in builder.iter_blocks(
                 n_accesses, rng, layout=layout, fast_path=fast_path):
-            take = min(len(vaddr), n_accesses - carry["total"])
-            if take <= 0:
-                continue  # drain: the kernel commits rng state at the end
-            inst = np.cumsum(gaps[:take]) + carry["inst"]
+            inst = np.cumsum(gaps) + carry["inst"]
             carry["inst"] = int(inst[-1])
-            carry["total"] += take
-            sharder.push({"inst": inst, "vaddr": vaddr[:take],
-                          "is_write": is_write[:take],
-                          "obj_id": obj_id[:take], "dep": dep[:take]})
+            sharder.push({"inst": inst, "vaddr": vaddr, "is_write": is_write,
+                          "obj_id": obj_id, "dep": dep})
 
     return _write_entry(directory, chunk_accesses, layout,
                         lambda: carry["inst"] + round(default_gap),

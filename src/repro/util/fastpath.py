@@ -1,12 +1,12 @@
 """Process-wide fast-path kill switch (``REPRO_FAST_PATH``).
 
-Every replay kernel in the repo (cache filter, DRAM replay, trace
-synthesis) ships as a vectorized fast path plus a scalar reference
-implementation that stays the executable specification.  This module
-holds the one switch that flips *all* of them back to the reference:
-``REPRO_FAST_PATH=0`` re-derives a suspect result fleet-wide — sweeps,
-profiling replays, migration epochs, and trace builds alike — without
-editing any figure code.
+Every hot loop in the repo ships as a fast path — a C kernel (DRAM
+replay, trace synthesis) or vectorized numpy (cache filter) — plus a
+scalar reference implementation that stays the executable specification.
+This module holds the one switch that flips *all* of them back to the
+reference: ``REPRO_FAST_PATH=0`` re-derives a suspect result fleet-wide
+— sweeps, profiling replays, migration epochs, and trace builds alike —
+without editing any figure code.
 
 Lives in ``util`` so the trace layer can consult it without importing
 the cpu package (traces are built before any cache exists).

@@ -211,11 +211,19 @@ class TestPackaging:
     ROOT = SRC.parent
 
     def test_c_source_ships_as_package_data(self):
+        from repro.trace import synth
+
         pyproject = (self.ROOT / "pyproject.toml").read_text()
         setup_py = (self.ROOT / "setup.py").read_text()
-        assert '"repro.memctrl" = ["*.c"]' in pyproject
-        assert 'package_data={"repro.memctrl": ["*.c"]}' in setup_py
+        assert ('package_data={"repro.memctrl": ["*.c"], '
+                '"repro.trace": ["*.c"]}') in setup_py
+        for source in (batch.SOURCE, synth.SOURCE):
+            package = source.parent.relative_to(SRC).as_posix()
+            package = package.replace("/", ".")
+            assert f'"{package}" = ["*.c"]' in pyproject
+            assert source.is_file()
         assert batch.SOURCE.parent == SRC / "repro" / "memctrl"
+        assert synth.SOURCE.parent == SRC / "repro" / "trace"
 
     def test_version_has_one_source(self):
         import re
